@@ -1,11 +1,12 @@
 # Astro reproduction — build and verification targets.
 #
-# `make check` is the default gate: build, vet, tests, and the race suite
-# over the concurrency-heavy packages. `make verify` remains as an alias.
+# `make check` is the default gate: build, vet, tests, the race suite
+# over the concurrency-heavy packages, and vet plus race tests of the
+# benchmark module. `make verify` remains as an alias.
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-pr2 bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr9 bench-pr10 fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile profile-mem check verify
+.PHONY: all build test vet race paybench-check bench bench-pr2 bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr9 bench-pr10 fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile profile-mem check verify
 
 all: check
 
@@ -28,6 +29,14 @@ vet:
 race:
 	$(GO) test -race ./internal/sched/... ./internal/types/... ./internal/transport/... ./internal/crypto/... ./internal/brb/... ./internal/core/... ./internal/wal/... ./internal/kv/...
 	$(GO) test -race -run 'Byzantine|Equivocation|Chaos|Partition|Reconfiguration|Auditor|LinkDelay' ./internal/sim/
+
+# The benchmark module (paybench/) imports this one through a replace
+# directive, so `go build ./...` and `go test ./...` here do not see it:
+# vet it and run its race tests, so a change to an API it uses fails the
+# gate instead of the benchmark.
+paybench-check:
+	$(GO) -C paybench vet ./...
+	$(GO) -C paybench test -race ./...
 
 # Headline benchmarks: parallel certificate verification, signed BRB, and
 # the end-to-end ECDSA settlement path.
@@ -151,6 +160,6 @@ profile-mem:
 		-memprofile=mem.out -o core.test ./internal/core/
 	$(GO) tool pprof -top -nodecount=20 -sample_index=alloc_space core.test mem.out
 
-check: build vet test race chaos-smoke-tcp
+check: build vet test race paybench-check chaos-smoke-tcp
 
 verify: check

@@ -5,14 +5,33 @@
 // outbound delay injected (emulating `tc netem delay`), and links can be
 // cut to create partitions.
 //
-// Each endpoint delivers inbound messages through a single reader
-// goroutine; protocols layered through transport.Mux then fan out across
-// the lane scheduler, one flow per channel (see the Mux concurrency
-// contract).
+// Delivery model. Send copies the payload once and stamps the envelope
+// with its due time: now plus the drawn latency, any injected node or
+// link delay, and the sender's bandwidth queueing (self-sends are due at
+// once). The envelope goes onto the destination endpoint's own queue, a
+// min-heap ordered by (due time, arrival sequence): messages due at the
+// same instant leave in the order they arrived, so zero-latency messages
+// from one sender keep their send order, while jitter lets a later
+// message with a shorter delay overtake an earlier one. The queue grows
+// with what is in flight to the endpoint and has no fixed capacity. Only
+// a message due at once (zero delay, which includes every self-send)
+// meets backpressure: its Send waits while the destination already
+// holds backlogCap envelopes, so a zero-latency flood runs at the
+// receiver's pace instead of growing the queue without bound. Delayed
+// sends never wait.
+//
+// Each endpoint has a single reader, its dispatch goroutine, which pops
+// due envelopes under one reusable timer and runs the handler on each,
+// one at a time. Protocols layered through transport.Mux then fan out
+// across the lane scheduler, one flow per channel (see the Mux
+// concurrency contract). Closing an endpoint, or the whole Network,
+// drops whatever is still queued for it: none of it is delivered.
 package memnet
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,10 +97,14 @@ type Stats struct {
 	Dropped      uint64
 }
 
-// Network is a simulated message-passing network.
+// Network is a simulated message-passing network. Send applies the
+// crash, cut, partition, loss, latency and bandwidth models and queues
+// the message on the destination endpoint (see the package doc for the
+// delivery model); each endpoint's dispatch goroutine delivers it when
+// it falls due.
 type Network struct {
 	latency LatencyModel
-	inboxSz int
+	epoch   time.Time // zero point of the envelopes' due times
 
 	// egress bandwidth model: bytes/sec per node, 0 = unlimited
 	bandwidth float64
@@ -104,6 +127,8 @@ type Network struct {
 	linkLoss   map[[2]transport.NodeID]float64       // directed [from,to]
 	groups     map[transport.NodeID]int              // partition membership
 	closed     bool
+
+	dispatchers sync.WaitGroup // running dispatch goroutines
 }
 
 // Option configures a Network.
@@ -132,20 +157,11 @@ func WithBandwidth(bytesPerSec float64, overheadBytes int) Option {
 	}
 }
 
-// WithInboxSize sets the per-node inbound queue capacity.
-func WithInboxSize(size int) Option {
-	return func(n *Network) {
-		if size > 0 {
-			n.inboxSz = size
-		}
-	}
-}
-
 // New creates a network.
 func New(opts ...Option) *Network {
 	n := &Network{
 		latency:    Fixed(0),
-		inboxSz:    1 << 14,
+		epoch:      time.Now(),
 		nodes:      make(map[transport.NodeID]*node),
 		crashed:    make(map[transport.NodeID]bool),
 		delays:     make(map[transport.NodeID]time.Duration),
@@ -173,6 +189,10 @@ func (n *Network) uniform() float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
+// clock returns the time since the network was created, in the units of
+// an envelope's due time. It reads the monotonic clock.
+func (n *Network) clock() int64 { return int64(time.Since(n.epoch)) }
+
 // Stats returns a snapshot of the cumulative counters.
 func (n *Network) Stats() Stats {
 	return Stats{
@@ -197,12 +217,15 @@ func (n *Network) Node(id transport.NodeID) transport.Endpoint {
 		return nd
 	}
 	nd := &node{
-		net:   n,
-		id:    id,
-		inbox: make(chan envelope, n.inboxSz),
-		done:  make(chan struct{}),
+		net:         n,
+		id:          id,
+		wake:        make(chan struct{}, 1),
+		done:        make(chan struct{}),
+		parkedUntil: notParked,
 	}
+	nd.space.L = &nd.mu
 	n.nodes[id] = nd
+	n.dispatchers.Add(1)
 	go nd.dispatch()
 	return nd
 }
@@ -329,7 +352,9 @@ func linkKey(a, b transport.NodeID) [2]transport.NodeID {
 	return [2]transport.NodeID{a, b}
 }
 
-// Close shuts the network down; all endpoints stop dispatching.
+// Close shuts the network down: all endpoints stop dispatching, and
+// messages still queued for them are dropped undelivered. It does not
+// wait for a handler that is running to return.
 func (n *Network) Close() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -342,16 +367,87 @@ func (n *Network) Close() {
 	}
 }
 
+// envelope is one message in flight to an endpoint.
 type envelope struct {
+	due     int64  // Network.clock reading at which it is delivered
+	seq     uint64 // arrival order at the destination, the tie-break
 	from    transport.NodeID
 	payload []byte
 }
 
+// dueQueue is a binary min-heap of envelopes ordered by (due, seq).
+type dueQueue []envelope
+
+func (q dueQueue) less(i, j int) bool {
+	return q[i].due < q[j].due || (q[i].due == q[j].due && q[i].seq < q[j].seq)
+}
+
+func (q *dueQueue) push(e envelope) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest envelope; the queue is non-empty.
+func (q *dueQueue) pop() envelope {
+	h := *q
+	e, last := h[0], len(h)-1
+	h[0] = h[last]
+	h[last] = envelope{} // release the payload
+	h = h[:last]
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < len(h) && h.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return e
+}
+
+// notParked is node.parkedUntil while the dispatch goroutine runs.
+const notParked = math.MinInt64
+
+// backlogCap is the queue length at which a Send due at once waits for
+// the dispatch goroutine to catch up.
+const backlogCap = 1 << 14
+
+// node is one endpoint. Inbound messages wait in its queue until its
+// single dispatch goroutine pops them, once due, and runs the handler.
 type node struct {
-	net   *Network
-	id    transport.NodeID
-	inbox chan envelope
-	done  chan struct{}
+	net  *Network
+	id   transport.NodeID
+	wake chan struct{} // nudges the parked dispatch goroutine; capacity 1
+	done chan struct{} // closed on Close
+
+	mu    sync.Mutex
+	queue dueQueue
+	seq   uint64    // next arrival sequence number
+	space sync.Cond // on mu; broadcast when a blocked Send may proceed
+	// Sends that meet backpressure queue in ticket order, so none is
+	// overtaken by a later one (the order a channel's blocked senders
+	// keep): ticket is the next to hand out, serving the one whose turn
+	// it is.
+	ticket, serving uint64
+	// parkedUntil is the due time the parked dispatch goroutine sleeps
+	// until (math.MaxInt64 for an empty queue), or notParked while it
+	// runs. A push wakes it only if the new envelope falls due sooner.
+	parkedUntil int64
 
 	handler atomic.Pointer[transport.Handler]
 	closed  atomic.Bool
@@ -372,30 +468,100 @@ func (nd *node) Close() error {
 	return nil
 }
 
+// closeLocked stops the endpoint and drops its queue. Callers hold
+// nd.net.mu.
 func (nd *node) closeLocked() {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
 	if nd.closed.CompareAndSwap(false, true) {
+		nd.queue = nil
 		close(nd.done)
+		nd.space.Broadcast()
 	}
 }
 
-func (nd *node) dispatch() {
-	for {
+// push queues env, waking the dispatch goroutine if it sleeps past
+// env's due time. With backpressure set it first waits, behind any Send
+// already waiting, while the queue holds backlogCap envelopes.
+func (nd *node) push(env envelope, backpressure bool) {
+	nd.mu.Lock()
+	if backpressure && (len(nd.queue) >= backlogCap || nd.serving != nd.ticket) {
+		t := nd.ticket
+		nd.ticket++
+		for !nd.closed.Load() && (nd.serving != t || len(nd.queue) >= backlogCap) {
+			nd.space.Wait()
+		}
+		nd.serving++
+		nd.space.Broadcast() // the next ticket may fit too
+	}
+	if nd.closed.Load() {
+		nd.mu.Unlock()
+		return
+	}
+	env.seq = nd.seq
+	nd.seq++
+	nd.queue.push(env)
+	wake := env.due < nd.parkedUntil
+	if wake {
+		nd.parkedUntil = notParked
+	}
+	nd.mu.Unlock()
+	if wake {
 		select {
+		case nd.wake <- struct{}{}:
+		default: // a stale wake-up is still pending; it serves
+		}
+	}
+}
+
+// dispatch is the endpoint's single reader. It delivers due envelopes
+// in (due, seq) order, then parks on one reusable timer until the head
+// of the queue falls due or a push brings an earlier envelope.
+func (nd *node) dispatch() {
+	defer nd.net.dispatchers.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	for {
+		now := nd.net.clock()
+		nd.mu.Lock()
+		if nd.closed.Load() {
+			nd.mu.Unlock()
+			return
+		}
+		if len(nd.queue) > 0 && nd.queue[0].due <= now {
+			env := nd.queue.pop()
+			nd.parkedUntil = notParked
+			if nd.serving != nd.ticket {
+				nd.space.Broadcast()
+			}
+			nd.mu.Unlock()
+			if !nd.net.Crashed(nd.id) {
+				if h := nd.handler.Load(); h != nil {
+					(*h)(env.from, env.payload)
+				}
+			}
+			continue
+		}
+		var due <-chan time.Time // nil while the queue is empty
+		nd.parkedUntil = math.MaxInt64
+		if len(nd.queue) > 0 {
+			nd.parkedUntil = nd.queue[0].due
+			timer.Reset(time.Duration(nd.parkedUntil - now))
+			due = timer.C
+		}
+		nd.mu.Unlock()
+		select {
+		case <-nd.wake:
+		case <-due:
 		case <-nd.done:
 			return
-		case env := <-nd.inbox:
-			if nd.net.Crashed(nd.id) {
-				continue
-			}
-			if h := nd.handler.Load(); h != nil {
-				(*h)(env.from, env.payload)
-			}
 		}
 	}
 }
 
 // Send implements transport.Endpoint. The payload is copied, so callers
-// may reuse their buffers.
+// may reuse their buffers. A message due at once (zero delay) waits
+// while the destination holds backlogCap envelopes; see the package doc.
 func (nd *node) Send(to transport.NodeID, payload []byte) error {
 	if nd.closed.Load() {
 		return ErrClosed
@@ -436,10 +602,6 @@ func (nd *node) Send(to transport.NodeID, payload []byte) error {
 		return nil
 	}
 
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	env := envelope{from: nd.id, payload: buf}
-
 	var delay time.Duration
 	if to != nd.id { // self-sends bypass the latency and bandwidth models
 		delay = net.latency(nd.id, to, net.uniform()) + extra
@@ -447,14 +609,13 @@ func (nd *node) Send(to transport.NodeID, payload []byte) error {
 			delay += net.serialize(nd.id, len(payload))
 		}
 	}
-	if delay <= 0 {
-		dest.enqueue(env)
-		return nil
-	}
-	if delay > 10*time.Minute {
-		delay = 10 * time.Minute // clamp absurd models
-	}
-	time.AfterFunc(delay, func() { dest.enqueue(env) })
+	delay = min(max(delay, 0), 10*time.Minute) // clamp absurd models
+
+	dest.push(envelope{
+		due:     net.clock() + int64(delay),
+		from:    nd.id,
+		payload: bytes.Clone(payload),
+	}, delay == 0)
 	return nil
 }
 
@@ -473,11 +634,4 @@ func (n *Network) serialize(from transport.NodeID, payloadLen int) time.Duration
 	n.busy[from] = end
 	n.busyMu.Unlock()
 	return end.Sub(now)
-}
-
-func (nd *node) enqueue(env envelope) {
-	select {
-	case nd.inbox <- env:
-	case <-nd.done:
-	}
 }

@@ -1,7 +1,10 @@
 package memnet
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,4 +389,259 @@ func TestPartitionGroups(t *testing.T) {
 		t.Fatalf("send: %v", err)
 	}
 	cb.wait(t, 1, time.Second)
+}
+
+// TestZeroLatencyFIFO: messages due at the same instant leave the queue
+// in arrival order, so a sender's zero-latency messages keep send order.
+func TestZeroLatencyFIFO(t *testing.T) {
+	net := New()
+	defer net.Close()
+	a, b := net.Node(1), net.Node(2)
+	cb := newCollector(b)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := a.Send(2, []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb.wait(t, n, 5*time.Second)
+	for i, m := range cb.snapshot() {
+		if m != fmt.Sprint(i) {
+			t.Fatalf("message %d is %q: send order lost", i, m)
+		}
+	}
+}
+
+// TestShorterDelayOvertakes: delivery follows due time, not send order,
+// so a later message drawn a shorter delay arrives first — the
+// reordering latency jitter produces.
+func TestShorterDelayOvertakes(t *testing.T) {
+	var calls atomic.Int32
+	slowThenFast := func(_, _ transport.NodeID, _ float64) time.Duration {
+		if calls.Add(1) == 1 {
+			return 60 * time.Millisecond
+		}
+		return time.Millisecond
+	}
+	net := New(WithLatency(slowThenFast))
+	defer net.Close()
+	a, b := net.Node(1), net.Node(2)
+	cb := newCollector(b)
+	for _, m := range []string{"early-slow", "late-fast"} {
+		if err := a.Send(2, []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb.wait(t, 2, time.Second)
+	if got := cb.snapshot(); got[0] != "late-fast" || got[1] != "early-slow" {
+		t.Fatalf("delivery order %v, want the shorter delay first", got)
+	}
+}
+
+// TestCloseDropsPending: Network.Close drops the messages still queued —
+// none is delivered — and every dispatch goroutine exits.
+func TestCloseDropsPending(t *testing.T) {
+	net := New(WithLatency(Fixed(50 * time.Millisecond)))
+	a, b := net.Node(1), net.Node(2)
+	var delivered atomic.Int32
+	b.SetHandler(func(transport.NodeID, []byte) { delivered.Add(1) })
+	for i := 0; i < 100; i++ {
+		if err := a.Send(2, []byte("pending")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Close()
+	exited := make(chan struct{})
+	go func() {
+		net.dispatchers.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("dispatch goroutines still running after Close")
+	}
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d pending messages delivered after Close", n)
+	}
+	if err := a.Send(2, []byte("late")); err == nil {
+		t.Fatal("send on a closed network succeeded")
+	}
+}
+
+// TestIdleEndpointFootprint: an endpoint that has delivered its traffic
+// holds no queue storage — its heap cost is a few hundred bytes of
+// bookkeeping, not a preallocated inbox. (Its dispatch goroutine's stack
+// is logged, not bounded: it is the runtime's minimum stack.)
+func TestIdleEndpointFootprint(t *testing.T) {
+	const n, limit = 1000, 4 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	net := New()
+	defer net.Close()
+	got := make(chan struct{}, n)
+	h := func(transport.NodeID, []byte) { got <- struct{}{} }
+	for i := 0; i < n; i++ {
+		ep := net.Node(transport.NodeID(i))
+		ep.SetHandler(h)
+		if err := ep.Send(transport.NodeID(i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		<-got
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEndpoint := func(a, b uint64) int64 { return (int64(a) - int64(b)) / n }
+	heap := perEndpoint(after.HeapAlloc, before.HeapAlloc)
+	stack := perEndpoint(after.StackInuse, before.StackInuse)
+	t.Logf("idle endpoint: %d B heap, %d B stack", heap, stack)
+	if heap > limit {
+		t.Fatalf("idle endpoint holds %d B of heap, want <= %d", heap, limit)
+	}
+}
+
+// TestDeliveryAllocs: delivering a message allocates only the payload
+// copy — no timer, goroutine or closure per message.
+func TestDeliveryAllocs(t *testing.T) {
+	for _, lat := range []time.Duration{0, 50 * time.Microsecond} {
+		net := New(WithLatency(Fixed(lat)))
+		a, b := net.Node(1), net.Node(2)
+		got := make(chan struct{}, 1)
+		b.SetHandler(func(transport.NodeID, []byte) { got <- struct{}{} })
+		payload := []byte("payload")
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := a.Send(2, payload); err != nil {
+				t.Fatal(err)
+			}
+			<-got
+		})
+		net.Close()
+		if allocs > 1 {
+			t.Errorf("latency %v: %.1f allocations per delivered message, want <= 1", lat, allocs)
+		}
+	}
+}
+
+// TestZeroDelayBackpressure: a Send due at once waits while its
+// destination holds backlogCap envelopes, so a zero-latency flood runs at
+// the receiver's pace; it resumes, in order, as the receiver drains, and
+// Close releases a Send still waiting. Delayed sends never wait.
+func TestZeroDelayBackpressure(t *testing.T) {
+	net := New()
+	defer net.Close()
+	a, b := net.Node(1), net.Node(2)
+	dst := b.(*node)
+	release := make(chan struct{})
+	var delivered atomic.Int32
+	var order []byte
+	b.SetHandler(func(_ transport.NodeID, p []byte) {
+		<-release
+		order = append(order, p[0])
+		delivered.Add(1)
+	})
+	const total = backlogCap + 10
+	var sent atomic.Int32
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for i := 0; i < total; i++ {
+			if err := a.Send(2, []byte{byte(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	// The handler holds one message; the queue fills up behind it and
+	// the flooder waits for a turn.
+	waitFor(t, func() bool {
+		dst.mu.Lock()
+		defer dst.mu.Unlock()
+		return len(dst.queue) == backlogCap && dst.serving != dst.ticket
+	})
+	if n := sent.Load(); n != backlogCap+1 {
+		t.Fatalf("%d sends completed against a stalled receiver, want %d", n, backlogCap+1)
+	}
+	close(release)
+	<-flooded
+	waitFor(t, func() bool { return delivered.Load() == total })
+	for i, p := range order {
+		if p != byte(i) {
+			t.Fatalf("message %d arrived as %d: order lost under backpressure", i, p)
+		}
+	}
+
+	// Close releases a Send waiting for room.
+	stalled := New()
+	c, d := stalled.Node(1), stalled.Node(2)
+	hold := make(chan struct{})
+	defer close(hold)
+	d.SetHandler(func(transport.NodeID, []byte) { <-hold })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < backlogCap+2; i++ {
+			_ = c.Send(2, []byte("x"))
+		}
+	}()
+	waitFor(t, func() bool {
+		dn := d.(*node)
+		dn.mu.Lock()
+		defer dn.mu.Unlock()
+		return dn.serving != dn.ticket
+	})
+	stalled.Close()
+	<-done
+
+	// Delayed messages queue without limit and never block the sender.
+	slow := New(WithLatency(Fixed(time.Hour)))
+	defer slow.Close()
+	e := slow.Node(1)
+	slow.Node(2)
+	for i := 0; i < backlogCap+10; i++ {
+		if err := e.Send(2, []byte("later")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkDelivery: a 4-endpoint all-to-all exchange under WAN jitter,
+// every message delayed — the send, queue and dispatch cost per message.
+func BenchmarkDelivery(b *testing.B) {
+	net := New(WithLatency(Uniform(100*time.Microsecond, time.Millisecond)))
+	defer net.Close()
+	const nodes = 4
+	var delivered sync.WaitGroup
+	eps := make([]transport.Endpoint, nodes)
+	for i := range eps {
+		eps[i] = net.Node(transport.NodeID(i))
+		eps[i].SetHandler(func(transport.NodeID, []byte) { delivered.Done() })
+	}
+	payload := make([]byte, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	delivered.Add(b.N)
+	for i := 0; i < b.N; i++ {
+		from, to := i%nodes, (i/nodes)%nodes
+		if err := eps[from].Send(transport.NodeID(to), payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	delivered.Wait()
 }

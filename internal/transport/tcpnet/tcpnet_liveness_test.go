@@ -304,7 +304,8 @@ func TestTCPParkedFramesBoundedPerPeer(t *testing.T) {
 	t.Cleanup(func() { _ = b.Close() })
 
 	// Flood from a: well past the per-peer cap.
-	for i := 0; i < maxParkedPerPeer+512; i++ {
+	const excess = 512
+	for i := 0; i < maxParkedPerPeer+excess; i++ {
 		if err := a.Send(3, []byte("flood")); err != nil {
 			t.Fatalf("flood send: %v", err)
 		}
@@ -313,13 +314,16 @@ func TestTCPParkedFramesBoundedPerPeer(t *testing.T) {
 	if err := b.Send(3, []byte("honest")); err != nil {
 		t.Fatal(err)
 	}
-	// Let everything reach c's dispatch goroutine pre-handler.
+	// Wait until c's dispatch goroutine has shed the flood's whole excess.
+	// The flooder's frames are then all parked or dropped, none still in
+	// flight: a frame that reached c only after the handler landed would be
+	// delivered live and miscounted as parked below.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.ParkDrops() == 0 && time.Now().Before(deadline) {
+	for c.ParkDrops() < excess && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if c.ParkDrops() == 0 {
-		t.Fatal("per-peer parking cap never engaged")
+	if d := c.ParkDrops(); d != excess {
+		t.Fatalf("per-peer parking cap shed %d frames, want %d", d, excess)
 	}
 
 	got := make(chan string, maxParked+1024)
