@@ -22,7 +22,7 @@ vet:
 # Race-detector pass over the lane scheduler, transport dispatch, and the
 # crypto/broadcast/payment hot path — the packages with cross-goroutine
 # completions, flow stealing, and per-channel dispatch (including the PR 4
-# chain-reference caches, the tcpnet dial/redial liveness tests, the
+# credit chain-reference caches, the tcpnet dial/redial liveness tests, the
 # PR 6 WAL writer/crash-recovery paths, the PR 7 Byzantine/chaos
 # interposition layer with its always-on auditor, and the PR 10 embedded
 # KV store behind the paged account state).
@@ -57,10 +57,11 @@ bench-pr2:
 bench-pr3:
 	sh scripts/bench_pr3.sh BENCH_PR3.json
 
-# PR 4 evidence: wire bytes per committed payment / per credit at chain
-# cap 32 — chain-by-digest references (CHAINDEF/COMMITREF/CREDITREF) and
-# interned dependency certificates vs the legacy self-contained forms,
-# which remain measured from the same tree as the NACK fallback.
+# Credit wire-amortization evidence: wire bytes per credit at chain cap
+# 32 — credit chain-by-digest references (CREDITCHAINDEF/CREDITREF) and
+# interned dependency certificates vs the self-contained forms, which
+# remain measured from the same tree as the NACK fallback. The BRB
+# commit rows of the archived file went with the commit reference forms.
 # Regenerates BENCH_PR4.json.
 bench-pr4:
 	sh scripts/bench_pr4.sh BENCH_PR4.json
@@ -80,9 +81,9 @@ bench-pr6:
 	sh scripts/bench_pr6.sh BENCH_PR6.json
 
 # PR 9 evidence: continuation-style commit coordinators vs the goroutine-
-# per-commit baseline, lazy vs eager CHAINDEF wire economics, the tabled
-# COMMITTAB fallback vs legacy COMMITBATCH, and batch-level chain
-# interning (v2 payment batches). The spawn/alloc guards themselves ride
+# per-commit baseline, tabled COMMITTAB bytes per payment, and
+# batch-level chain interning (v2 payment batches). The spawn/alloc
+# guards themselves ride
 # `make test`/`make check` (internal/core/pipeline_guard_test.go).
 # Regenerates BENCH_PR9.json.
 bench-pr9:
@@ -96,8 +97,8 @@ bench-pr9:
 bench-pr10:
 	sh scripts/bench_pr10.sh BENCH_PR10.json
 
-# Short fuzz pass over every wire/record decoder harness — the three
-# generations of chain-ref forms (brb), the credit channel, durable
+# Short fuzz pass over every wire/record decoder harness — the chain,
+# ACKBATCH and tabled commit forms (brb), the credit channel, durable
 # snapshot, and manifest images (core), the WAL frame scanner (wal), and
 # the KV record/index parsers that recovery trusts (kv). ~10s per
 # fuzzer; CI-smoke depth, not a soak.
@@ -109,7 +110,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/kv/ || exit 1; done
 	for f in FuzzDecodeCreditChannel FuzzDecodeBatch FuzzDecodeDependency FuzzDecodeReplicaImage FuzzDecodeManifest FuzzDecodePaymentChannel; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/core/ || exit 1; done
-	for f in FuzzDecodeChainDef FuzzDecodeAckCert FuzzDecodeCommitRef FuzzDecodeChainNack FuzzDecodeCommitTab; do \
+	for f in FuzzDecodeChainDef FuzzDecodeAckBatch FuzzDecodeCommitTab; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/brb/ || exit 1; done
 	$(GO) test -run=NONE -fuzz="^FuzzDecodeReconfigChannel$$" -fuzztime=$(FUZZTIME) ./internal/reconfig/
 
@@ -120,7 +121,7 @@ fuzz-smoke:
 # with faults active. Deterministic per seed; CI-smoke depth.
 chaos-smoke:
 	$(GO) test -count=1 -run 'Byzantine|Equivocation|Chaos|Partition|Reconfiguration|Auditor|LinkDelay' ./internal/sim/
-	$(GO) test -count=1 -race -run 'NackStorm|NackNonMember|NackUnregistered' ./internal/brb/ ./internal/core/
+	$(GO) test -count=1 -race -run 'NackStorm|NackUnregistered' ./internal/brb/ ./internal/core/
 	$(GO) test -count=1 -run 'ViaFacade' .
 
 # The scenario matrix across real astro-node processes on real TCP:

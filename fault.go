@@ -21,14 +21,16 @@ const (
 	// FaultEquivocate sends conflicting PREPAREs for the same log slot to
 	// different peers — the double-spend attack BRB exists to stop.
 	FaultEquivocate = string(sim.FaultEquivocate)
-	// FaultWithholdCommits suppresses outbound COMMITs so peers must
-	// complete certificates from the other 2f+1 replicas.
+	// FaultWithholdCommits suppresses outbound commits (COMMIT and
+	// COMMITTAB) so peers must complete certificates from the other 2f+1
+	// replicas.
 	FaultWithholdCommits = string(sim.FaultWithholdCommits)
-	// FaultForgeRefs corrupts chain-by-digest reference digests on the
-	// wire, forcing NACK fallbacks and forged-reference rejections.
+	// FaultForgeRefs corrupts credit-channel chain-by-digest reference
+	// digests on the wire, forcing NACK fallbacks and forged-reference
+	// rejections.
 	FaultForgeRefs = string(sim.FaultForgeRefs)
-	// FaultNackStorm answers every reference-form message with a NACK,
-	// probing the bounded-retransmit guarantee.
+	// FaultNackStorm answers every credit reference with a NACK, probing
+	// the bounded-retransmit guarantee.
 	FaultNackStorm = string(sim.FaultNackStorm)
 	// FaultStaleView spams stale-view and forged-install reconfiguration
 	// messages at the membership managers.

@@ -48,15 +48,16 @@ type AckSig struct {
 	Sig     []byte
 	Chain   []ChainEntry
 	// ChainDigest memoizes AckChainDigest(Chain) when Chain is non-nil —
-	// the origin computes it once while verifying the ACKBATCH, and the
-	// chain-reference sender (sendCommit) keys CHAINDEF bookkeeping on it
-	// without rehashing. Never encoded; receivers recompute from content.
+	// the origin computes it once while verifying the ACKBATCH, and
+	// sendCommit keys the COMMITTAB chain table on it without rehashing.
+	// Never encoded; receivers recompute from content.
 	ChainDigest types.Digest
 }
 
 // AckCert is a quorum of ack signatures for one instance, possibly mixing
 // single-slot and chain signatures. It generalizes crypto.Certificate,
-// which remains the wire form when every signature is single-slot.
+// which remains the wire form when every signature is single-slot
+// (COMMIT); any chain signature makes it a COMMITTAB (committab.go).
 type AckCert struct {
 	Sigs []AckSig
 }
@@ -75,7 +76,7 @@ func (c AckCert) has(r types.ReplicaID) bool {
 }
 
 // allPlain reports whether every signature is single-slot, i.e. the
-// certificate can be downgraded to the legacy crypto.Certificate wire form.
+// certificate can take the crypto.Certificate wire form (COMMIT).
 func (c AckCert) allPlain() bool {
 	for _, s := range c.Sigs {
 		if s.Chain != nil {
@@ -92,9 +93,9 @@ const maxAckChain = 1024
 // maxSignBatch caps how many pending acks one signature covers. The
 // amortization gain is hyperbolic — 32 already cuts per-ack signing cost
 // ~32× — while the wire cost is linear: every commit certificate carries
-// each signer's full chain, so unbounded chains would bloat commits (and
-// redundantly, once per signer). 32 keeps the chain overhead per
-// certificate signature (32×44 B) comparable to the ECDSA it replaces.
+// each distinct signer chain in full, so unbounded chains would bloat
+// commits. 32 keeps the chain overhead per certificate signature (32×44 B)
+// comparable to the ECDSA it replaces.
 const maxSignBatch = 32
 
 // chainEntrySize is the wire size of one chain entry.
@@ -181,67 +182,19 @@ func EncodeAckBatch(chain []ChainEntry, sig []byte) []byte {
 	return w.Bytes()
 }
 
-// ackCertSize is the exact encoded size of an extended certificate.
-func ackCertSize(cert AckCert) int {
-	n := 4
-	for _, s := range cert.Sigs {
-		n += 4 + 4 + len(s.Sig) + 4 + len(s.Chain)*chainEntrySize
+// decodeAckBatch parses an ACKBATCH after its kind byte: a non-empty chain
+// and the signature over its digest. The signature aliases the frame.
+func decodeAckBatch(r *wire.Reader) ([]ChainEntry, []byte, error) {
+	chain, err := decodeChain(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	return n
-}
-
-func appendAckCert(w *wire.Writer, cert AckCert) {
-	w.U32(uint32(len(cert.Sigs)))
-	for _, s := range cert.Sigs {
-		w.U32(uint32(s.Replica))
-		w.Chunk(s.Sig)
-		appendChain(w, s.Chain)
-	}
-}
-
-// maxAckCertSigs mirrors crypto's decoded-certificate bound.
-const maxAckCertSigs = 4096
-
-func decodeAckCert(r *wire.Reader) (AckCert, error) {
-	var cert AckCert
-	n := r.U32()
+	sig := r.Chunk()
 	if err := r.Err(); err != nil {
-		return cert, err
+		return nil, nil, err
 	}
-	if n > maxAckCertSigs {
-		return cert, fmt.Errorf("brb: ack cert of %d signatures exceeds cap", n)
+	if len(chain) == 0 {
+		return nil, nil, fmt.Errorf("brb: empty ack chain")
 	}
-	cert.Sigs = make([]AckSig, 0, n)
-	for i := uint32(0); i < n; i++ {
-		id := types.ReplicaID(r.U32())
-		sig := r.Chunk()
-		if err := r.Err(); err != nil {
-			return AckCert{}, err
-		}
-		chain, err := decodeChain(r)
-		if err != nil {
-			return AckCert{}, err
-		}
-		cert.Sigs = append(cert.Sigs, AckSig{Replica: id, Sig: sig, Chain: chain})
-	}
-	return cert, nil
-}
-
-// commitBatchSize is the exact size of a COMMITBATCH message.
-func commitBatchSize(payload []byte, cert AckCert) int {
-	return headerSize + 4 + len(payload) + ackCertSize(cert)
-}
-
-func appendCommitBatch(w *wire.Writer, origin types.ReplicaID, slot uint64, payload []byte, cert AckCert) {
-	appendHeader(w, kindCommitBatch, origin, slot)
-	w.Chunk(payload)
-	appendAckCert(w, cert)
-}
-
-// EncodeCommitBatch encodes a COMMIT carrying an extended (chain-capable)
-// certificate. Exported for tests.
-func EncodeCommitBatch(origin types.ReplicaID, slot uint64, payload []byte, cert AckCert) []byte {
-	w := wire.NewWriter(commitBatchSize(payload, cert))
-	appendCommitBatch(w, origin, slot, payload, cert)
-	return w.Bytes()
+	return chain, sig, nil
 }

@@ -2,7 +2,7 @@ package brb
 
 // Tests for batch-level ack signing: the pool-side signer (no ECDSA on a
 // dispatch goroutine, chains amortizing one signature over many
-// instances), the chain/extended-certificate codecs, and the commit
+// instances), the ACKBATCH and COMMITTAB codecs, and the commit
 // verification rules for chain signatures.
 
 import (
@@ -33,7 +33,7 @@ func TestAckChainCodecRoundTrip(t *testing.T) {
 	if k := r.U8(); k != kindAckBatch {
 		t.Fatalf("kind = %d", k)
 	}
-	got, err := decodeChain(r)
+	got, gotSig, err := decodeAckBatch(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,28 +45,42 @@ func TestAckChainCodecRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d = %+v, want %+v", i, got[i], chain[i])
 		}
 	}
-	if !bytes.Equal(r.Chunk(), sig) || r.Finish() != nil {
+	if !bytes.Equal(gotSig, sig) || r.Finish() != nil {
 		t.Fatal("signature round trip failed")
 	}
 
+	// The chain rides in commit certificates through the COMMITTAB table:
+	// two signatures over one chain intern it once.
 	cert := AckCert{Sigs: []AckSig{
 		{Replica: 1, Sig: []byte("s1")},               // single-slot
 		{Replica: 2, Sig: []byte("s2"), Chain: chain}, // chain-signed
+		{Replica: 3, Sig: []byte("s3"), Chain: chain}, // same chain
 	}}
-	w := wire.NewWriter(ackCertSize(cert))
-	appendAckCert(w, cert)
-	if w.Len() != ackCertSize(cert) {
-		t.Fatalf("cert size %d, want exact %d", w.Len(), ackCertSize(cert))
+	payload := []byte("payload")
+	commit := EncodeCommitTab(3, 17, payload, cert)
+	table, _ := commitChainTable(cert)
+	if len(table) != 1 || len(commit) != commitTabSize(payload, table, cert) {
+		t.Fatalf("commit: %d table entries, size %d, want 1 entry of exact size %d",
+			len(table), len(commit), commitTabSize(payload, table, cert))
 	}
-	rc := wire.NewReader(w.Bytes())
-	back, err := decodeAckCert(rc)
+	rc := wire.NewReader(commit)
+	if k := rc.U8(); k != kindCommitTab {
+		t.Fatalf("kind = %d", k)
+	}
+	if rc.U32() != 3 || rc.U64() != 17 || !bytes.Equal(rc.Chunk(), payload) {
+		t.Fatal("commit header round trip failed")
+	}
+	back, err := decodeCommitTab(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Sigs) != 2 || back.Sigs[0].Chain != nil || len(back.Sigs[1].Chain) != 2 {
+	if len(back.Sigs) != 3 || back.Sigs[0].Chain != nil || len(back.Sigs[1].Chain) != 2 {
 		t.Fatalf("cert round trip: %+v", back)
 	}
-	if AckChainDigest(chain) != AckChainDigest(back.Sigs[1].Chain) {
+	if &back.Sigs[1].Chain[0] != &back.Sigs[2].Chain[0] {
+		t.Fatal("signatures naming one table entry do not share its chain")
+	}
+	if back.Sigs[1].ChainDigest != AckChainDigest(chain) {
 		t.Fatal("chain digest changed across codec round trip")
 	}
 }
@@ -280,7 +294,7 @@ func TestSignedChainSignsPendingAcks(t *testing.T) {
 	}
 }
 
-// chainCommitFor builds a commit whose certificate consists of chain
+// chainCommitFor builds a COMMITTAB whose certificate consists of chain
 // signatures by replicas 0, 1, 2 over the given chain.
 func chainCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint64, payload []byte, chain []ChainEntry) []byte {
 	t.Helper()
@@ -293,7 +307,7 @@ func chainCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint6
 		}
 		cert.Sigs = append(cert.Sigs, AckSig{Replica: r, Sig: sig, Chain: chain})
 	}
-	return EncodeCommitBatch(origin, slot, payload, cert)
+	return EncodeCommitTab(origin, slot, payload, cert)
 }
 
 // TestSignedCommitBatchDelivers: a commit whose quorum consists of chain
@@ -371,12 +385,68 @@ func TestSignedCommitBatchDuplicateSignersDontCount(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cert.Sigs = append(cert.Sigs, AckSig{Replica: 0, Sig: sig, Chain: chain})
 	}
-	commit := EncodeCommitBatch(3, 1, payload, cert)
+	commit := EncodeCommitTab(3, 1, payload, cert)
 	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, commit); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.waitDeliveries(1, 300*time.Millisecond); got != 0 {
 		t.Fatalf("duplicate-signer certificate delivered: %d", got)
+	}
+}
+
+// TestCommitRefForgeries: in a COMMITTAB each signature references its
+// chain by index into the message's table. References that do not
+// resolve, or resolve to a chain that does not endorse the instance, must
+// not deliver — and must not wedge the instance: the genuine commit sent
+// afterwards still delivers.
+func TestCommitRefForgeries(t *testing.T) {
+	h := newHarness(t, protoSigned, 4)
+	payload := []byte("real-payload")
+	covering := []ChainEntry{{Origin: 3, Slot: 1, Digest: SignedDigest(3, 1, payload)}}
+	unrelated := []ChainEntry{{Origin: 3, Slot: 2, Digest: types.HashBytes([]byte("other"))}}
+	wrongDigest := []ChainEntry{{Origin: 3, Slot: 1, Digest: SignedDigest(3, 1, []byte("other-payload"))}}
+	certOver := func(chain []ChainEntry) AckCert {
+		t.Helper()
+		var cert AckCert
+		for _, r := range []types.ReplicaID{0, 1, 2} {
+			sig, err := h.keys[r].Sign(AckChainDigest(chain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cert.Sigs = append(cert.Sigs, AckSig{Replica: r, Sig: sig, Chain: chain})
+		}
+		return cert
+	}
+	tabled := func(table [][]ChainEntry, cert AckCert, idxs []uint32) []byte {
+		w := wire.NewWriter(commitTabSize(payload, table, cert))
+		appendCommitTab(w, 3, 1, payload, table, cert, idxs)
+		return w.Bytes()
+	}
+	good := certOver(covering)
+
+	forgeries := map[string][]byte{
+		// Every reference names an index past the one-chain table.
+		"index out of range": tabled([][]ChainEntry{covering}, good, []uint32{7, 7, 7}),
+		// Two references resolve to the endorsing chain; the third names
+		// a chain its signature does not cover and that lacks the instance.
+		"reference to a non-covering chain": tabled([][]ChainEntry{covering, unrelated}, good, []uint32{0, 0, 1}),
+		// The referenced chain carries the instance over another payload.
+		"entry over a different digest": EncodeCommitTab(3, 1, payload, certOver(wrongDigest)),
+	}
+	for name, frame := range forgeries {
+		if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, frame); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.waitDeliveries(1, 300*time.Millisecond); got != 0 {
+			t.Fatalf("forged reference (%s) delivered: %d", name, got)
+		}
+	}
+
+	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, EncodeCommitTab(3, 1, payload, good)); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.waitDeliveries(1, 5*time.Second); got != 1 {
+		t.Fatalf("genuine commit after the forgeries: deliveries = %d, want 1", got)
 	}
 }
 

@@ -1,11 +1,10 @@
 package brb
 
 // Adversarial wire helpers: the pieces a Byzantine replica behavior
-// (internal/sim) needs to inspect, forge, and corrupt BRB traffic without
+// (internal/sim) needs to inspect and forge BRB traffic without
 // re-implementing the codecs. Everything here is wire-level only — no
 // protocol state — so a behavior can interpose on raw frames at the
-// transport boundary. The same helpers seed the fuzz corpora with
-// realistic hostile inputs.
+// transport boundary.
 
 import (
 	"astro/internal/crypto"
@@ -16,16 +15,13 @@ import (
 // Exported message-kind bytes (first byte of every ChanBRB frame), for
 // behaviors that dispatch on frame kind.
 const (
-	KindPrepare     = kindPrepare
-	KindEcho        = kindEcho
-	KindReady       = kindReady
-	KindAck         = kindAck
-	KindCommit      = kindCommit
-	KindAckBatch    = kindAckBatch
-	KindCommitBatch = kindCommitBatch
-	KindChainDef    = kindChainDef
-	KindCommitRef   = kindCommitRef
-	KindChainNack   = kindChainNack
+	KindPrepare   = kindPrepare
+	KindEcho      = kindEcho
+	KindReady     = kindReady
+	KindAck       = kindAck
+	KindCommit    = kindCommit
+	KindAckBatch  = kindAckBatch
+	KindCommitTab = kindCommitTab
 )
 
 // FrameKind returns a frame's message-kind byte (0 for an empty frame).
@@ -36,11 +32,11 @@ func FrameKind(frame []byte) byte {
 	return frame[0]
 }
 
-// IsCommitKind reports whether kind carries a commit certificate in any
-// of its three wire forms — the frames a commit-withholding adversary
-// suppresses.
+// IsCommitKind reports whether kind carries a commit certificate in
+// either of its wire forms (COMMIT or COMMITTAB) — the frames a
+// commit-withholding adversary suppresses.
 func IsCommitKind(kind byte) bool {
-	return kind == kindCommit || kind == kindCommitBatch || kind == kindCommitRef
+	return kind == kindCommit || kind == kindCommitTab
 }
 
 // DecodePrepare parses a PREPARE frame (kind byte included) into its
@@ -89,88 +85,4 @@ func ForgeAck(kp *crypto.KeyPair, origin types.ReplicaID, slot uint64, payload [
 		return nil, err
 	}
 	return EncodeAck(origin, slot, d, sig), nil
-}
-
-// CorruptChainRefs returns a structurally valid mutation of a CHAINDEF or
-// COMMITREF frame with its chain digests perturbed by salt — the forged
-// chain-reference attack. A corrupted CHAINDEF caches a chain no honest
-// signature will reference; a corrupted COMMITREF references a chain the
-// receiver does not know, forcing the CHAINNACK → full-form fallback.
-// Frames of any other kind return (nil, false).
-func CorruptChainRefs(frame []byte, salt byte) ([]byte, bool) {
-	if salt == 0 {
-		salt = 0xa5
-	}
-	switch FrameKind(frame) {
-	case kindChainDef:
-		chain, err := decodeChainDef(wire.NewReader(frame[1:]))
-		if err != nil {
-			return nil, false
-		}
-		for i := range chain {
-			chain[i].Digest[0] ^= salt
-			chain[i].Slot ^= uint64(salt) << 40
-		}
-		return EncodeChainDef(chain), true
-	case kindCommitRef:
-		r := wire.NewReader(frame)
-		r.U8()
-		origin := types.ReplicaID(r.U32())
-		slot := r.U64()
-		payload := r.Chunk()
-		if r.Err() != nil {
-			return nil, false
-		}
-		sigs, err := decodeCommitRef(r)
-		if err != nil {
-			return nil, false
-		}
-		for i := range sigs {
-			if sigs[i].HasRef {
-				sigs[i].Ref[0] ^= salt
-				sigs[i].Idx += uint32(salt)
-			}
-		}
-		return EncodeCommitRef(origin, slot, payload, sigs), true
-	default:
-		return nil, false
-	}
-}
-
-// NackFor builds the CHAINNACK a hostile receiver would answer a
-// COMMITREF with, naming every chain digest the commit references — the
-// building block of a NACK storm. Returns (nil, false) for frames of any
-// other kind or commits with no references.
-func NackFor(frame []byte) ([]byte, bool) {
-	if FrameKind(frame) != kindCommitRef {
-		return nil, false
-	}
-	r := wire.NewReader(frame)
-	r.U8()
-	origin := types.ReplicaID(r.U32())
-	slot := r.U64()
-	r.Chunk() // payload
-	if r.Err() != nil {
-		return nil, false
-	}
-	sigs, err := decodeCommitRef(r)
-	if err != nil {
-		return nil, false
-	}
-	var missing []types.Digest
-	seen := make(map[types.Digest]struct{})
-	for _, s := range sigs {
-		if !s.HasRef {
-			continue
-		}
-		if _, dup := seen[s.Ref]; dup {
-			continue
-		}
-		seen[s.Ref] = struct{}{}
-		missing = append(missing, s.Ref)
-	}
-	if len(missing) == 0 {
-		return nil, false
-	}
-	return EncodeChainNack(origin, slot, missing), true
 }

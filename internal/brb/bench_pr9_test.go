@@ -3,12 +3,9 @@ package brb
 // PR 9 evidence: the goroutine-free commit pipeline. Latency pair —
 // continuation-style commit coordinators (default) vs the goroutine-per-
 // commit baseline (Config.CommitSpawn), both on the same ECDSA N=4
-// broadcast path. Wire pair — chain-definition bytes per payment under
-// lazy CHAINDEF (steady state sends none; a NACK demands one) vs the
-// eager per-destination definition, and the tabled fallback resend
-// (COMMITTAB, message-level chain table) vs the legacy COMMITBATCH with
-// inline chains. All byte accounting encodes the exact messages each
-// mode sends, from the same tree.
+// broadcast path. Wire cost — bytes per payment of the tabled commit
+// (COMMITTAB, message-level chain table) that carries every chained
+// certificate.
 
 import (
 	"sync"
@@ -106,75 +103,9 @@ func BenchmarkCommitSpawnECDSA(b *testing.B) {
 	benchSignedECDSA(b, func(c *Config) { c.CommitSpawn = true })
 }
 
-// BenchmarkChainDefWireBytes: chain-definition traffic per committed
-// payment for one aligned wave (chain cap 32, quorum 3, 256-byte
-// payloads), per destination. Eager mode sends the CHAINDEF ahead of the
-// first reference; lazy steady state sends none (the destination learned
-// the chain from its own ACKBATCH handling); the lazy worst case pays a
-// NACK round trip — one NACK, the demanded definition, and the re-sent
-// reference, on top of the original reference the receiver parked.
-func BenchmarkChainDefWireBytes(b *testing.B) {
-	const (
-		slots   = maxSignBatch
-		quorum  = 3
-		payload = 256
-	)
-	payloads := make([][]byte, slots)
-	chain := make([]ChainEntry, slots)
-	for i := range chain {
-		payloads[i] = make([]byte, payload)
-		chain[i] = ChainEntry{Origin: 0, Slot: uint64(i + 1), Digest: SignedDigest(0, uint64(i+1), payloads[i])}
-	}
-	cd := AckChainDigest(chain)
-	sig := make([]byte, 71) // ECDSA-sized; byte accounting needs no validity
-	refs := func() int {
-		total := 0
-		for i := 0; i < slots; i++ {
-			var sigs []refSig
-			for q := 0; q < quorum; q++ {
-				sigs = append(sigs, refSig{Replica: types.ReplicaID(q), Sig: sig, HasRef: true, Ref: cd, Idx: uint32(i)})
-			}
-			total += len(EncodeCommitRef(0, uint64(i+1), payloads[i], sigs))
-		}
-		return total
-	}
-
-	b.Run("eager", func(b *testing.B) {
-		var total int
-		for n := 0; n < b.N; n++ {
-			total = len(EncodeChainDef(chain)) + refs()
-		}
-		b.ReportMetric(float64(total)/float64(slots), "bytes/payment")
-		b.ReportMetric(float64(len(EncodeChainDef(chain)))/float64(slots), "defbytes/payment")
-	})
-	b.Run("lazy-warm", func(b *testing.B) {
-		var total int
-		for n := 0; n < b.N; n++ {
-			total = refs()
-		}
-		b.ReportMetric(float64(total)/float64(slots), "bytes/payment")
-		b.ReportMetric(0, "defbytes/payment")
-	})
-	b.Run("lazy-nack", func(b *testing.B) {
-		var total, def int
-		for n := 0; n < b.N; n++ {
-			def = len(EncodeChainNack(0, 1, []types.Digest{cd})) + len(EncodeChainDef(chain))
-			// The original references were sent and parked; the demand
-			// answer re-sends the first slot's reference with the defs.
-			var sigs []refSig
-			for q := 0; q < quorum; q++ {
-				sigs = append(sigs, refSig{Replica: types.ReplicaID(q), Sig: sig, HasRef: true, Ref: cd, Idx: 0})
-			}
-			total = refs() + def + len(EncodeCommitRef(0, 1, payloads[0], sigs))
-		}
-		b.ReportMetric(float64(total)/float64(slots), "bytes/payment")
-		b.ReportMetric(float64(def)/float64(slots), "defbytes/payment")
-	})
-}
-
-// BenchmarkCommitTabWireBytes: the self-contained fallback resend — the
-// legacy COMMITBATCH repeats each signer's inline chain per slot; the
-// tabled COMMITTAB encodes each distinct chain once per message.
+// BenchmarkCommitTabWireBytes: bytes per payment of one aligned wave of
+// chained commits (chain cap 32, quorum 3, 256-byte payloads), per
+// destination — COMMITTAB encodes each distinct chain once per message.
 func BenchmarkCommitTabWireBytes(b *testing.B) {
 	const (
 		slots   = maxSignBatch
@@ -194,16 +125,6 @@ func BenchmarkCommitTabWireBytes(b *testing.B) {
 		cert.Sigs = append(cert.Sigs, AckSig{Replica: types.ReplicaID(q), Sig: sig, Chain: chain, ChainDigest: cd})
 	}
 
-	b.Run("legacy-batch", func(b *testing.B) {
-		var total int
-		for n := 0; n < b.N; n++ {
-			total = 0
-			for i := 0; i < slots; i++ {
-				total += len(EncodeCommitBatch(0, uint64(i+1), payloads[i], cert))
-			}
-		}
-		b.ReportMetric(float64(total)/float64(slots), "bytes/payment")
-	})
 	b.Run("tabled", func(b *testing.B) {
 		var total int
 		for n := 0; n < b.N; n++ {

@@ -7,8 +7,8 @@
 //     totality.
 //   - Signed: the signature-based protocol (after Malkhi & Reiter) used by
 //     Astro II. O(N) messages: the origin gathers a Byzantine quorum of
-//     signed ACKs into a COMMIT certificate. No totality — the payment
-//     layer compensates with CREDIT dependency certificates.
+//     signed ACKs into a self-contained COMMIT certificate. No totality —
+//     the payment layer compensates with CREDIT dependency certificates.
 //
 // Both protocols deliver payloads per origin in slot order (FIFO), exactly
 // like the paper's per-client sequence-number delivery rule, and both
@@ -111,15 +111,6 @@ type Config struct {
 	// steady-state settlement spawns zero goroutines per commit. Kept as
 	// the measured baseline, per the PR 1–5 convention.
 	CommitSpawn bool
-
-	// EagerChainDefs restores the PR 4 behavior of sending every CHAINDEF
-	// ahead of the first COMMITREF that references it (Signed only). Off —
-	// the default — definitions are lazy: references go out immediately and
-	// a chain is defined only when a receiver demands it (CHAINNACK),
-	// saving the definitions receivers never need (each replica already
-	// knows its own chains, and a chain learned from any peer resolves
-	// references from every origin). Kept as the measured baseline.
-	EagerChainDefs bool
 }
 
 // Errors returned by Broadcast.
@@ -154,22 +145,14 @@ const (
 	kindAck     byte = 4
 	kindCommit  byte = 5
 	// Batch-level ack signing (Signed only): one signature over a hash
-	// chain of pending instances, and commits whose certificates carry
-	// such chain signatures. See ackchain.go.
-	kindAckBatch    byte = 6
-	kindCommitBatch byte = 7
-	// Chain-by-digest references (Signed only): a chain transmitted once
-	// per destination (CHAINDEF), commits whose certificates reference it
-	// by digest (COMMITREF), and the cache-miss fallback (CHAINNACK). See
-	// chainref.go.
-	kindChainDef  byte = 8
-	kindCommitRef byte = 9
-	kindChainNack byte = 10
-	// Tabled commit (Signed only): a COMMITBATCH whose certificate interns
-	// its chains in one message-level table, each signature naming its
-	// chain by index — the PR 9 self-contained form that never repeats a
-	// chain inside a message. Legacy kindCommitBatch stays decodable. See
-	// committab.go.
+	// chain of pending instances. See ackchain.go.
+	kindAckBatch byte = 6
+	// Kinds 7–10 are retired and must not be reused: a frame of one of
+	// them is ignored, never misread as another message.
+	//
+	// Tabled commit (Signed only): a commit whose certificate carries chain
+	// signatures, interning each distinct chain once in a message-level
+	// table. See committab.go.
 	kindCommitTab byte = 11
 )
 

@@ -7,26 +7,23 @@ import (
 	"astro/internal/wire"
 )
 
-// Tabled commit encoding (PR 9): the self-contained successor of the
-// legacy COMMITBATCH. The legacy form writes each signature's chain
-// inline, so a certificate whose signers share a chain — or a message
-// that must stay self-contained, like the NACK fallback resend — repeats
-// identical chains. The tabled form interns every distinct chain once in
-// a message-level table and has each signature name its chain by index:
+// Tabled commit encoding: the wire form of every commit whose
+// certificate carries a chain signature. Signers whose drains covered the
+// same instances produce identical chains, so writing each signature's
+// chain inline would repeat them; the tabled form interns every distinct
+// chain once in a message-level table and has each signature name its
+// chain by index:
 //
 //	kind origin slot | payload | U32 ntab (chain)* | U32 nsigs
 //	    (replica sig idx)*
 //
 // where idx is an index into the table or noChainTabIdx for a single-slot
-// signature. The receiver hashes each table entry exactly once (feeding
-// both the chain cache and the certificate's memoized ChainDigest) and
-// the decoded signatures share the table's chain slices, so downstream
-// pointer-equality fast paths keep working. The same table shape scales
-// to the batch level on the payment channel (core's CREDITBATCH and the
-// v2 payment-batch encoding intern across a whole wave's certificates).
-//
-// Legacy kindCommitBatch remains fully decodable as the
-// fallback/baseline, per the PR 1–5 convention.
+// signature. The receiver hashes each table entry exactly once (into the
+// certificate's memoized ChainDigest) and the decoded signatures share the
+// table's chain slices, so downstream pointer-equality fast paths keep
+// working. The same table shape scales to the batch level on the payment
+// channel (core's CREDITBATCH and the v2 payment-batch encoding intern
+// across a whole wave's certificates).
 
 // noChainTabIdx marks a single-slot signature in the tabled encoding.
 const noChainTabIdx = ^uint32(0)
@@ -51,9 +48,9 @@ func commitTabSize(payload []byte, table [][]ChainEntry, cert AckCert) int {
 // it (noChainTabIdx for single-slot signatures). The stack-backed sizing
 // mirrors core's dependency-certificate interning: quorum certificates
 // rarely name more than a handful of chains.
-func commitChainTable(cert AckCert) (table [][]ChainEntry, digests []types.Digest, idxs []uint32) {
+func commitChainTable(cert AckCert) (table [][]ChainEntry, idxs []uint32) {
 	var stack [8]types.Digest
-	digests = stack[:0]
+	digests := stack[:0]
 	idxs = make([]uint32, len(cert.Sigs))
 	for i := range cert.Sigs {
 		a := &cert.Sigs[i]
@@ -79,7 +76,7 @@ func commitChainTable(cert AckCert) (table [][]ChainEntry, digests []types.Diges
 			digests = append(digests, cd)
 		}
 	}
-	return table, digests, idxs
+	return table, idxs
 }
 
 func appendCommitTab(w *wire.Writer, origin types.ReplicaID, slot uint64, payload []byte, table [][]ChainEntry, cert AckCert, idxs []uint32) {
@@ -100,47 +97,49 @@ func appendCommitTab(w *wire.Writer, origin types.ReplicaID, slot uint64, payloa
 // EncodeCommitTab encodes a COMMIT carrying a chain-tabled certificate.
 // Exported for tests and the wire-cost benchmarks.
 func EncodeCommitTab(origin types.ReplicaID, slot uint64, payload []byte, cert AckCert) []byte {
-	table, _, idxs := commitChainTable(cert)
+	table, idxs := commitChainTable(cert)
 	w := wire.NewWriter(commitTabSize(payload, table, cert))
 	appendCommitTab(w, origin, slot, payload, table, cert, idxs)
 	return w.Bytes()
 }
 
+// maxAckCertSigs mirrors crypto's decoded-certificate bound.
+const maxAckCertSigs = 4096
+
 // maxCommitTabChains bounds the decoded chain table: a certificate of at
 // most maxAckCertSigs signatures names at most that many distinct chains.
 const maxCommitTabChains = maxAckCertSigs
 
-// decodeCommitTab parses a COMMITTAB after the payload chunk, returning
-// the certificate and the table digests (hashed once per table entry, for
-// the caller's chain cache). Signatures share the table's chain slices
-// and carry the memoized ChainDigest, so verification never rehashes.
-func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, error) {
+// decodeCommitTab parses a COMMITTAB after the payload chunk. Each table
+// entry is hashed once; signatures share the table's chain slices and
+// carry the memoized ChainDigest, so verification never rehashes.
+func decodeCommitTab(r *wire.Reader) (AckCert, error) {
 	nt := r.U32()
 	if err := r.Err(); err != nil {
-		return AckCert{}, nil, nil, err
+		return AckCert{}, err
 	}
 	if nt > maxCommitTabChains {
-		return AckCert{}, nil, nil, fmt.Errorf("brb: commit chain table of %d exceeds cap", nt)
+		return AckCert{}, fmt.Errorf("brb: commit chain table of %d exceeds cap", nt)
 	}
 	table := make([][]ChainEntry, 0, nt)
 	digests := make([]types.Digest, 0, nt)
 	for i := uint32(0); i < nt; i++ {
 		chain, err := decodeChain(r)
 		if err != nil {
-			return AckCert{}, nil, nil, err
+			return AckCert{}, err
 		}
 		if len(chain) == 0 || len(chain) > maxSignBatch {
-			return AckCert{}, nil, nil, fmt.Errorf("brb: tabled chain of %d outside [1,%d]", len(chain), maxSignBatch)
+			return AckCert{}, fmt.Errorf("brb: tabled chain of %d outside [1,%d]", len(chain), maxSignBatch)
 		}
 		table = append(table, chain)
 		digests = append(digests, AckChainDigest(chain))
 	}
 	ns := r.U32()
 	if err := r.Err(); err != nil {
-		return AckCert{}, nil, nil, err
+		return AckCert{}, err
 	}
 	if ns > maxAckCertSigs {
-		return AckCert{}, nil, nil, fmt.Errorf("brb: tabled cert of %d signatures exceeds cap", ns)
+		return AckCert{}, fmt.Errorf("brb: tabled cert of %d signatures exceeds cap", ns)
 	}
 	cert := AckCert{Sigs: make([]AckSig, 0, ns)}
 	for i := uint32(0); i < ns; i++ {
@@ -148,12 +147,12 @@ func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, e
 		sig := r.Chunk()
 		idx := r.U32()
 		if err := r.Err(); err != nil {
-			return AckCert{}, nil, nil, err
+			return AckCert{}, err
 		}
 		a := AckSig{Replica: id, Sig: sig}
 		if idx != noChainTabIdx {
 			if idx >= uint32(len(table)) {
-				return AckCert{}, nil, nil, fmt.Errorf("brb: chain table index %d of %d", idx, len(table))
+				return AckCert{}, fmt.Errorf("brb: chain table index %d of %d", idx, len(table))
 			}
 			a.Chain = table[idx]
 			a.ChainDigest = digests[idx]
@@ -161,7 +160,7 @@ func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, e
 		cert.Sigs = append(cert.Sigs, a)
 	}
 	if err := r.Finish(); err != nil {
-		return AckCert{}, nil, nil, err
+		return AckCert{}, err
 	}
-	return cert, table, digests, nil
+	return cert, nil
 }

@@ -15,126 +15,72 @@ func fuzzChain() []ChainEntry {
 	}
 }
 
-// FuzzDecodeChainDef exercises the CHAINDEF decoder. The chain encoding
-// is fixed-width and therefore canonical: any payload that decodes must
-// re-encode to exactly the input bytes.
+// FuzzDecodeChainDef exercises the chain-definition decoder that ACKBATCH
+// frames and COMMITTAB chain tables share. The chain encoding is
+// fixed-width and therefore canonical: whatever decodes must respect the
+// decode cap and re-encode to exactly the bytes it consumed.
 func FuzzDecodeChainDef(f *testing.F) {
-	f.Add(EncodeChainDef(fuzzChain())[1:]) // after the kind byte
-	f.Add([]byte{0, 0, 0, 0})              // empty chain: rejected
-	// Adversarial seed: the forge-refs behavior's digest-corrupted form —
-	// structurally valid, semantically hostile.
-	if c, ok := CorruptChainRefs(EncodeChainDef(fuzzChain()), 0x5a); ok {
-		f.Add(c[1:])
+	w := wire.NewWriter(4 + 2*chainEntrySize)
+	appendChain(w, fuzzChain())
+	canonical := w.Bytes()
+	f.Add(canonical)
+	f.Add([]byte{0, 0, 0, 0}) // empty chain: decodes to nothing
+	// Adversarial seed: the canonical chain with every digest byte
+	// flipped — structurally valid, endorsing instances nobody acked.
+	hostile := bytes.Clone(canonical)
+	for i := 4; i < len(hostile); i += chainEntrySize {
+		for j := i + 12; j < i+chainEntrySize; j++ {
+			hostile[j] ^= 0x5a
+		}
 	}
+	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		chain, err := decodeChainDef(wire.NewReader(data))
+		r := wire.NewReader(data)
+		chain, err := decodeChain(r)
 		if err != nil {
 			return
 		}
-		if len(chain) == 0 || len(chain) > maxSignBatch {
-			t.Fatalf("accepted chain of %d outside [1,%d]", len(chain), maxSignBatch)
+		if len(chain) > maxAckChain {
+			t.Fatalf("accepted chain of %d over cap %d", len(chain), maxAckChain)
 		}
-		if !bytes.Equal(EncodeChainDef(chain)[1:], data) {
-			t.Fatal("decoded chain does not re-encode to input")
+		w := wire.NewWriter(4 + len(chain)*chainEntrySize)
+		appendChain(w, chain)
+		if consumed := data[:len(data)-r.Remaining()]; !bytes.Equal(w.Bytes(), consumed) {
+			t.Fatal("decoded chain does not re-encode to the bytes it consumed")
 		}
 	})
 }
 
-// FuzzDecodeAckCert exercises the legacy self-contained certificate
-// decoder: per-signature chain contexts of arbitrary shape must never
-// panic and must respect the signature and chain caps.
-func FuzzDecodeAckCert(f *testing.F) {
-	cert := AckCert{Sigs: []AckSig{
-		{Replica: 1, Sig: []byte("plain-sig")},
-		{Replica: 2, Sig: []byte("chain-sig"), Chain: fuzzChain()},
-	}}
-	w := wire.NewWriter(ackCertSize(cert))
-	appendAckCert(w, cert)
+// FuzzDecodeAckBatch exercises the ACKBATCH decoder: whatever decodes
+// must carry a non-empty chain within the decode cap, and the chain and
+// signature must re-encode to a prefix of the input.
+func FuzzDecodeAckBatch(f *testing.F) {
+	f.Add(EncodeAckBatch(fuzzChain(), []byte("chain-sig"))[1:]) // after the kind byte
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})                       // empty chain: rejected
+	w := wire.NewWriter(8)
+	w.U32(maxAckChain + 1) // chain count past the cap
 	f.Add(w.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cert, err := decodeAckCert(wire.NewReader(data))
+		chain, sig, err := decodeAckBatch(wire.NewReader(data))
 		if err != nil {
 			return
 		}
-		if len(cert.Sigs) > maxAckCertSigs {
-			t.Fatalf("accepted %d signatures over cap", len(cert.Sigs))
+		if len(chain) == 0 || len(chain) > maxAckChain {
+			t.Fatalf("accepted chain of %d outside [1,%d]", len(chain), maxAckChain)
 		}
-		for _, s := range cert.Sigs {
-			if len(s.Chain) > maxAckChain {
-				t.Fatalf("accepted chain of %d over cap", len(s.Chain))
-			}
-		}
-	})
-}
-
-// FuzzDecodeCommitRef exercises the interned-reference certificate form:
-// mixed plain and by-digest signatures, including unknown reference
-// modes.
-func FuzzDecodeCommitRef(f *testing.F) {
-	sigs := []refSig{
-		{Replica: 1, Sig: []byte("plain")},
-		{Replica: 2, Sig: []byte("by-ref"), HasRef: true, Ref: types.Digest{0x05}, Idx: 1},
-	}
-	w := wire.NewWriter(64)
-	w.U32(uint32(len(sigs)))
-	for _, s := range sigs {
-		w.U32(uint32(s.Replica))
-		w.Chunk(s.Sig)
-		if s.HasRef {
-			w.U8(refModeChain)
-			w.Bytes32(s.Ref)
-			w.U32(s.Idx)
-		} else {
-			w.U8(refModePlain)
-		}
-	}
-	f.Add(w.Bytes())
-	// Adversarial seed: a full COMMITREF frame run through the forge-refs
-	// corruptor, sliced back to the signature section this decoder reads
-	// (header, then the one-byte payload chunk).
-	if c, ok := CorruptChainRefs(EncodeCommitRef(2, 6, []byte("p"), sigs), 0x77); ok {
-		f.Add(c[headerSize+4+1:])
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sigs, err := decodeCommitRef(wire.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(sigs) > maxAckCertSigs {
-			t.Fatalf("accepted %d signatures over cap", len(sigs))
-		}
-	})
-}
-
-// FuzzDecodeChainNack exercises the NACK digest-list decoder.
-func FuzzDecodeChainNack(f *testing.F) {
-	f.Add(EncodeChainNack(1, 4, []types.Digest{{0x0a}, {0x0b}})[headerSize:])
-	// Adversarial seed: the NACK a storming receiver would synthesize
-	// from a reference-form commit it claims not to resolve.
-	hostile := []refSig{{Replica: 2, Sig: []byte("s"), HasRef: true, Ref: types.Digest{0x0c}, Idx: 0}}
-	if n, ok := NackFor(EncodeCommitRef(1, 4, []byte("x"), hostile)); ok {
-		f.Add(n[headerSize:])
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		missing, err := decodeChainNack(wire.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(missing) > maxNackDigests {
-			t.Fatalf("accepted %d digests over cap", len(missing))
+		if !bytes.HasPrefix(data, EncodeAckBatch(chain, sig)[1:]) {
+			t.Fatal("decoded ack batch does not re-encode to the input")
 		}
 	})
 }
 
 // FuzzDecodeCommitTab exercises the tabled (PR 9) commit form: a
 // message-level chain table with signatures naming their chain by index.
-// Decoded signatures must share the table's chain backing, and every
-// bound — table size, per-chain length, signature count, index range —
-// must hold on whatever decodes.
+// Every bound — table size, per-chain length, signature count, index
+// range — must hold on whatever decodes, each chain's memoized digest
+// must match its content, and the certificate must survive re-encoding.
 func FuzzDecodeCommitTab(f *testing.F) {
 	cert := AckCert{Sigs: []AckSig{
 		{Replica: 1, Sig: []byte("plain-sig")},
@@ -169,17 +115,9 @@ func FuzzDecodeCommitTab(f *testing.F) {
 	f.Add(w.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cert, table, digests, err := decodeCommitTab(wire.NewReader(data))
+		cert, err := decodeCommitTab(wire.NewReader(data))
 		if err != nil {
 			return
-		}
-		if len(table) > maxCommitTabChains || len(digests) != len(table) {
-			t.Fatalf("table %d / digests %d out of shape", len(table), len(digests))
-		}
-		for _, ch := range table {
-			if len(ch) == 0 || len(ch) > maxSignBatch {
-				t.Fatalf("accepted table chain of %d outside [1,%d]", len(ch), maxSignBatch)
-			}
 		}
 		if len(cert.Sigs) > maxAckCertSigs {
 			t.Fatalf("accepted %d signatures over cap", len(cert.Sigs))
@@ -188,15 +126,27 @@ func FuzzDecodeCommitTab(f *testing.F) {
 			if s.Chain == nil {
 				continue
 			}
-			shared := false
-			for _, ch := range table {
-				if &s.Chain[0] == &ch[0] {
-					shared = true
-					break
-				}
+			if len(s.Chain) == 0 || len(s.Chain) > maxSignBatch {
+				t.Fatalf("accepted table chain of %d outside [1,%d]", len(s.Chain), maxSignBatch)
 			}
-			if !shared {
-				t.Fatal("decoded signature chain does not share table backing")
+			if s.ChainDigest != AckChainDigest(s.Chain) {
+				t.Fatal("memoized chain digest does not match the chain")
+			}
+		}
+		// Re-encoding interns the chains again; the result must decode
+		// to the same signatures.
+		again := EncodeCommitTab(0, 1, nil, cert)
+		back, err := decodeCommitTab(wire.NewReader(again[headerSize+4:]))
+		if err != nil {
+			t.Fatalf("re-encoded certificate does not decode: %v", err)
+		}
+		if len(back.Sigs) != len(cert.Sigs) {
+			t.Fatalf("re-encoded certificate has %d signatures, want %d", len(back.Sigs), len(cert.Sigs))
+		}
+		for i := range cert.Sigs {
+			a, b := cert.Sigs[i], back.Sigs[i]
+			if a.Replica != b.Replica || !bytes.Equal(a.Sig, b.Sig) || a.ChainDigest != b.ChainDigest || len(a.Chain) != len(b.Chain) {
+				t.Fatalf("signature %d changed across re-encoding", i)
 			}
 		}
 	})

@@ -24,6 +24,14 @@ import (
 // COMMIT carrying the payload and the aggregated certificate; replicas
 // verify the certificate and deliver, in per-origin slot order.
 //
+// Every commit is self-contained: a certificate of single-slot signatures
+// goes out as COMMIT, one carrying any chain signature as COMMITTAB (each
+// distinct chain tabled once per message, see committab.go). Nothing a
+// receiver can send asks the origin for a commit again, so the origin
+// forgets an instance — payload and certificate — the moment its quorum
+// completes: its per-slot state is bounded by the broadcasts still
+// collecting acks, not by every broadcast it ever made.
+//
 // Message complexity is O(N) — the all-to-all phases of Bracha are
 // replaced by unicasts to and from the origin — at the price of signature
 // computation. The protocol does not provide totality: if the origin is
@@ -68,7 +76,7 @@ type Signed struct {
 
 	mu      sync.Mutex
 	nextOut uint64
-	mine    map[uint64]*outInstance   // my in-flight broadcasts, by slot
+	mine    map[uint64]*outInstance   // my broadcasts still short of a quorum, by slot
 	acked   map[instanceID]*ackRecord // instances I have acknowledged
 	order   *fifo
 	// committing marks instances with a certificate verification in
@@ -90,30 +98,16 @@ type Signed struct {
 	// ~1µs HMACs). The scheduling lives in verifier.ChainSigner; this
 	// layer supplies the wire forms.
 	ackSigner *verifier.ChainSigner[ChainEntry]
-
-	// Chain-by-digest reference state (see chainref.go): chainsKnown is
-	// the receiver side — per sending peer, the chains that peer has
-	// defined, bounded so no peer can evict another's entries; chainsSent
-	// is the sender side — per destination, the chain digests already
-	// transmitted.
-	chainMu     sync.Mutex
-	chainsKnown *types.PeerCache[[]ChainEntry]
-	chainsSent  *types.PeerCache[struct{}]
-	// refsWaiting parks COMMITREFs whose chain definition is in flight
-	// (lazy-CHAINDEF mode): keyed by missing digest, drained by learnChain,
-	// bounded by maxWaitingRefs. Guarded by chainMu.
-	refsWaiting      map[types.Digest][]pendingRef
-	refsWaitingCount int
-	refStats         types.RefCounters
 }
 
 var _ Broadcaster = (*Signed)(nil)
 
+// outInstance is one of this replica's own broadcasts while it gathers
+// acks. It is deleted when the quorum completes (ackVerified).
 type outInstance struct {
-	payload   []byte
-	digest    types.Digest
-	cert      AckCert
-	committed bool
+	payload []byte
+	digest  types.Digest
+	cert    AckCert
 }
 
 type ackRecord struct {
@@ -138,16 +132,13 @@ func NewSigned(cfg Config) (*Signed, error) {
 		ver = verifier.Default()
 	}
 	s := &Signed{
-		cfg:         cfg,
-		ver:         ver,
-		nextOut:     cfg.FirstSlot,
-		mine:        make(map[uint64]*outInstance),
-		acked:       make(map[instanceID]*ackRecord),
-		order:       newFIFO(),
-		committing:  make(map[instanceID]struct{}),
-		chainsKnown: types.NewPeerCache[[]ChainEntry](chainCacheEntries),
-		chainsSent:  types.NewPeerCache[struct{}](chainCacheEntries),
-		refsWaiting: make(map[types.Digest][]pendingRef),
+		cfg:        cfg,
+		ver:        ver,
+		nextOut:    cfg.FirstSlot,
+		mine:       make(map[uint64]*outInstance),
+		acked:      make(map[instanceID]*ackRecord),
+		order:      newFIFO(),
+		committing: make(map[instanceID]struct{}),
 	}
 	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, verifier.DefaultChainThreshold, s.signSingleAck, s.signAckChain)
 	// Seed the sign-cost estimate with one probe signature, so the first
@@ -188,6 +179,12 @@ func (s *Signed) Broadcast(payload []byte) (uint64, error) {
 // incarnation); peers that already acknowledged the identical digest
 // re-ack it, so the protocol completes even though the first PREPARE wave
 // reached some of them.
+//
+// The origin keeps no record of slots whose quorum already completed, so
+// rebroadcasting such a slot again is not refused: it is an identical
+// re-PREPARE. Peers re-ack the same digest, and the resulting second
+// commit carries the same payload, which every receiver discards as a
+// duplicate of the delivered instance.
 func (s *Signed) Rebroadcast(slot uint64, payload []byte) {
 	s.mu.Lock()
 	if slot > s.nextOut || s.mine[slot] != nil {
@@ -227,30 +224,11 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 	if kind == kindAckBatch {
 		// Chain-signed acks carry no instance header: the chain itself
 		// names every instance the signature endorses.
-		chain, err := decodeChain(r)
+		chain, sig, err := decodeAckBatch(r)
 		if err != nil {
-			return
-		}
-		sig := r.Chunk()
-		if r.Err() != nil || len(chain) == 0 {
 			return
 		}
 		s.handleAckBatch(peer, chain, sig)
-		return
-	}
-	if kind == kindChainDef {
-		// A chain definition carries no instance header either: it is
-		// content-addressed, keyed by the digest the receiver recomputes.
-		// Only group members may define chains: the per-peer caches are
-		// bounded individually, and membership bounds how many exist.
-		if !s.membership(peer) {
-			return
-		}
-		chain, err := decodeChainDef(r)
-		if err != nil {
-			return
-		}
-		s.learnChain(peer, AckChainDigest(chain), chain)
 		return
 	}
 	origin := types.ReplicaID(r.U32())
@@ -283,66 +261,18 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 			return
 		}
 		s.handleCommit(id, body, cert)
-	case kindCommitBatch:
-		body := r.Chunk()
-		cert, err := decodeAckCert(r)
-		if err != nil || r.Err() != nil {
-			return
-		}
-		// Hash each inline chain once: the digest feeds both the chain
-		// cache (a later COMMITREF from this peer may reference it — the
-		// NACK fallback re-primes the cache this way, since the legacy
-		// resend carries every chain in full; only group members get a
-		// cache) and the certificate's memoized ChainDigest, so
-		// verifyAckCert does not rehash. Learning runs on the dispatch
-		// goroutine, but only on this legacy/fallback path.
-		member := s.membership(peer)
-		for i := range cert.Sigs {
-			if cert.Sigs[i].Chain == nil {
-				continue
-			}
-			cert.Sigs[i].ChainDigest = AckChainDigest(cert.Sigs[i].Chain)
-			if member {
-				s.learnChain(peer, cert.Sigs[i].ChainDigest, cert.Sigs[i].Chain)
-			}
-		}
-		s.handleCommitBatch(id, body, cert)
 	case kindCommitTab:
 		body := r.Chunk()
 		if r.Err() != nil {
 			return
 		}
-		cert, table, digests, err := decodeCommitTab(r)
+		// The decoder hashes each table entry once and memoizes the digest
+		// in every signature naming it, so verification never rehashes.
+		cert, err := decodeCommitTab(r)
 		if err != nil {
 			return
 		}
-		// The table is hashed once by the decoder; feed it to the chain
-		// cache (membership-gated, like CHAINDEF) so later COMMITREFs
-		// referencing these chains resolve, and so any references parked
-		// waiting on one of them drain now — the tabled form doubles as
-		// the lazy mode's self-contained fallback resend.
-		if s.membership(peer) {
-			for i := range table {
-				s.learnChain(peer, digests[i], table[i])
-			}
-		}
-		s.handleCommitBatch(id, body, cert)
-	case kindCommitRef:
-		body := r.Chunk()
-		if r.Err() != nil {
-			return
-		}
-		sigs, err := decodeCommitRef(r)
-		if err != nil {
-			return
-		}
-		s.handleCommitRef(id, peer, body, sigs)
-	case kindChainNack:
-		missing, err := decodeChainNack(r)
-		if err != nil {
-			return
-		}
-		s.handleChainNack(id, peer, missing)
+		s.handleCommitTab(id, body, cert)
 	}
 }
 
@@ -419,13 +349,6 @@ func (s *Signed) signAckChain(batch []ChainEntry, wave *verifier.Wave) {
 	if err != nil {
 		return
 	}
-	// Self-prime: cache our own chain before any origin's commit can
-	// reference it. In lazy-CHAINDEF mode this is what makes most
-	// definitions unnecessary — every receiver already holds the chains it
-	// signed, so references to them never NACK. The ChainSigner's drain
-	// hands the flush callback ownership of the batch slice, so caching it
-	// without a copy is safe.
-	s.learnChain(s.cfg.Self, cd, batch)
 	w := wave.Scratch(ackBatchSize(batch, sig))
 	appendAckBatch(w, batch, sig)
 	sent := make(map[types.ReplicaID]struct{}, 4)
@@ -449,9 +372,9 @@ func (s *Signed) handleAck(id instanceID, peer types.ReplicaID, digest types.Dig
 
 	s.mu.Lock()
 	out := s.mine[id.slot]
-	if out == nil || out.committed || digest != out.digest {
+	if out == nil || digest != out.digest {
 		s.mu.Unlock()
-		return
+		return // unknown, already committed (forgotten), or wrong digest
 	}
 	s.mu.Unlock()
 
@@ -471,17 +394,6 @@ func (s *Signed) handleAck(id instanceID, peer types.ReplicaID, digest types.Dig
 // completion callback. The chain digest is memoized, so the ECDSA runs
 // once however many instances (or redeliveries) the chain covers.
 func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []byte) {
-	// Cache the acker's chain like an unsolicited CHAINDEF (same
-	// membership gate, same content-addressed soundness — the digest is
-	// recomputed from the bytes in hand). In lazy-CHAINDEF mode this is
-	// the second half of the no-NACK steady state: when every replica
-	// originates traffic, every chain touches every origin, so each
-	// replica learns each acker's chain here before any COMMITREF can
-	// reference it.
-	cd := AckChainDigest(chain)
-	if s.membership(peer) {
-		s.learnChain(peer, cd, chain)
-	}
 	var relevant []ChainEntry
 	s.mu.Lock()
 	for _, e := range chain {
@@ -489,7 +401,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 			continue
 		}
 		out := s.mine[e.Slot]
-		if out == nil || out.committed || e.Digest != out.digest || out.cert.has(peer) {
+		if out == nil || e.Digest != out.digest || out.cert.has(peer) {
 			continue
 		}
 		relevant = append(relevant, e)
@@ -498,6 +410,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 	if len(relevant) == 0 {
 		return
 	}
+	cd := AckChainDigest(chain)
 	s.ver.VerifyReplicaDetached(s.cfg.Registry, peer, cd, sig, func(ok bool) {
 		if !ok {
 			return
@@ -510,162 +423,48 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 
 // ackVerified re-enters the state machine after an ack signature checks
 // out: record it (with its chain context, if batch-signed), and commit on
-// reaching the quorum.
+// reaching the quorum. The quorum-completing ack removes the instance from
+// mine, so the payload and certificate live only as long as the commit
+// send; later acks for the slot find nothing and are dropped.
 func (s *Signed) ackVerified(id instanceID, peer types.ReplicaID, digest types.Digest, sig []byte, chain []ChainEntry, chainDigest types.Digest) {
 	s.mu.Lock()
 	out := s.mine[id.slot]
-	if out == nil || out.committed || digest != out.digest || out.cert.has(peer) {
+	if out == nil || digest != out.digest || out.cert.has(peer) {
 		s.mu.Unlock()
 		return
 	}
 	out.cert.Sigs = append(out.cert.Sigs, AckSig{Replica: peer, Sig: sig, Chain: chain, ChainDigest: chainDigest})
 	commit := out.cert.Len() >= s.cfg.quorum()
 	if commit {
-		out.committed = true
+		delete(s.mine, id.slot)
 	}
-	payload := out.payload
-	cert := out.cert
 	s.mu.Unlock()
 
 	if commit {
-		s.sendCommit(id, payload, digest, cert)
+		s.sendCommit(id, out.payload, out.cert)
 	}
-}
-
-// defChain is one distinct chain named by a commit certificate, with its
-// CHAINDEF encoding built lazily and shared across destinations.
-type defChain struct {
-	digest types.Digest
-	chain  []ChainEntry
-	enc    []byte
-}
-
-// buildRefSigs converts a certificate to the reference form and collects
-// the distinct chains it names. Every chain signature records this
-// instance's index in its chain, so receivers locate the entry in O(1)
-// (the digest binding is still confirmed against the payload hash during
-// verification). ok is false when a chain does not carry this instance's
-// entry — the defensive case the reference form cannot express, which
-// handleAckBatch's filtering should make unreachable.
-func (s *Signed) buildRefSigs(id instanceID, digest types.Digest, cert AckCert) (sigs []refSig, defs []defChain, ok bool) {
-	sigs = make([]refSig, 0, len(cert.Sigs))
-	for _, a := range cert.Sigs {
-		if a.Chain == nil {
-			sigs = append(sigs, refSig{Replica: a.Replica, Sig: a.Sig})
-			continue
-		}
-		idx := -1
-		for i, e := range a.Chain {
-			if e.Origin == id.origin && e.Slot == id.slot && e.Digest == digest {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, nil, false
-		}
-		sigs = append(sigs, refSig{Replica: a.Replica, Sig: a.Sig, HasRef: true, Ref: a.ChainDigest, Idx: uint32(idx)})
-		known := false
-		for _, d := range defs {
-			if d.digest == a.ChainDigest {
-				known = true
-				break
-			}
-		}
-		if !known {
-			defs = append(defs, defChain{digest: a.ChainDigest, chain: a.Chain})
-		}
-	}
-	return sigs, defs, true
 }
 
 // sendCommit broadcasts the commit for an instance whose quorum is
-// complete. A certificate of only single-slot signatures takes the
-// original crypto.Certificate wire form (kindCommit) — the
-// backward-compatible fallback. Chain signatures take the chain-reference
-// form: the COMMITREF is encoded once (it is destination-independent);
-// chain definitions are withheld by default (lazy CHAINDEF — receivers
-// already know their own chains and any chain learned from any peer, and
-// demand the rest by NACK), or, in the eager baseline
-// (Config.EagerChainDefs), each destination that has not yet seen a
-// referenced chain receives its CHAINDEF ahead of the reference on the
-// same FIFO channel.
-func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, cert AckCert) {
-	if cert.allPlain() {
-		// Single-slot certificates stay on the legacy wire form; they
-		// count under FullSends (self-contained sends) in the stats.
-		s.sendCommitFull(id, payload, cert, s.cfg.Peers...)
-		return
-	}
-	sigs, defs, ok := s.buildRefSigs(id, digest, cert)
-	if !ok {
-		// A chain that does not endorse this instance never enters the
-		// certificate (handleAckBatch filters); if one did, referencing it
-		// would be unverifiable — fall back to the self-contained form.
-		s.sendCommitFull(id, payload, cert, s.cfg.Peers...)
-		return
-	}
-
-	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
-	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
-	for _, p := range s.cfg.Peers {
-		dest := transport.ReplicaNode(p)
-		for i := range defs {
-			// chainSentTo touches the entry, keeping the sender's sent-set
-			// aging in lockstep with the receiver's cache; the mark lands
-			// only after the Send returns, so any goroutine that observes
-			// it orders its reference behind this definition on the FIFO
-			// channel. After the wave's first commit every destination has
-			// the chain and the loop costs one cache probe per chain.
-			if s.chainSentTo(p, defs[i].digest) {
-				continue
-			}
-			if !s.cfg.EagerChainDefs {
-				// Lazy mode: withhold the definition and record the
-				// deferral once per (chain, destination) — exactly what
-				// the eager baseline would have sent. A receiver that
-				// actually needs the chain demands it (handleChainNack
-				// answers with the definition); most never do.
-				s.markChainSent(p, defs[i].digest)
-				s.refStats.DefsDeferred.Add(1)
-				continue
-			}
-			if defs[i].enc == nil {
-				defs[i].enc = EncodeChainDef(defs[i].chain)
-			}
-			_ = s.cfg.Mux.Send(dest, transport.ChanBRB, defs[i].enc)
-			s.refStats.DefsSent.Add(1)
-			s.markChainSent(p, defs[i].digest)
-		}
-		_ = s.cfg.Mux.Send(dest, transport.ChanBRB, ref.Bytes())
-		s.refStats.RefsSent.Add(1)
-	}
-	ref.Release()
-}
-
-// sendCommitFull sends the self-contained legacy encoding of a commit to
-// the given destinations — the NACK fallback, and the defensive path for
-// certificates the reference form cannot express.
-func (s *Signed) sendCommitFull(id instanceID, payload []byte, cert AckCert, dests ...types.ReplicaID) {
+// complete, in its self-contained form: a certificate of only single-slot
+// signatures as COMMIT (the crypto.Certificate wire form), one carrying
+// any chain signature as COMMITTAB, each distinct chain encoded once.
+func (s *Signed) sendCommit(id instanceID, payload []byte, cert AckCert) {
 	var w *wire.Writer
 	if cert.allPlain() {
-		var legacy crypto.Certificate
+		var plain crypto.Certificate
 		for _, a := range cert.Sigs {
-			legacy.Add(crypto.PartialSig{Replica: a.Replica, Sig: a.Sig})
+			plain.Add(crypto.PartialSig{Replica: a.Replica, Sig: a.Sig})
 		}
-		w = wire.AcquireWriter(commitSize(payload, legacy))
-		appendCommit(w, id.origin, id.slot, payload, legacy)
+		w = wire.AcquireWriter(commitSize(payload, plain))
+		appendCommit(w, id.origin, id.slot, payload, plain)
 	} else {
-		// Chain-carrying certificates take the tabled form: each distinct
-		// chain crosses the wire once per message, however many signatures
-		// name it. The legacy inline COMMITBATCH stays decodable.
-		table, _, idxs := commitChainTable(cert)
+		table, idxs := commitChainTable(cert)
 		w = wire.AcquireWriter(commitTabSize(payload, table, cert))
 		appendCommitTab(w, id.origin, id.slot, payload, table, cert, idxs)
 	}
-	for _, p := range dests {
+	for _, p := range s.cfg.Peers {
 		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, w.Bytes())
-		s.refStats.FullSends.Add(1)
 	}
 	w.Release()
 }
@@ -722,10 +521,10 @@ func (s *Signed) handleCommit(id instanceID, payload []byte, cert crypto.Certifi
 	}
 	s.ver.TryAsync(func() {
 		// On a verifier lane (or inline under a saturated pool — the
-		// natural backpressure; TryAsync rather than Async because commits
-		// can arrive via the parked-reference drain, which runs on a pool
-		// worker, and a blocking enqueue there could wedge a full queue
-		// against itself): hash the payload and start the tally. The
+		// natural backpressure; TryAsync rather than Async because the
+		// mux dispatches on the lane runtime the verifier may share, and a
+		// blocking enqueue there could wedge a full queue against itself):
+		// hash the payload and start the tally. The
 		// continuation may fire inline right here (memo hits, structural
 		// failure) or on whichever lane casts the deciding vote; either
 		// way commitVerified only takes s.mu and drains deliveries — it
@@ -737,11 +536,11 @@ func (s *Signed) handleCommit(id instanceID, payload []byte, cert crypto.Certifi
 	})
 }
 
-// handleCommitBatch is handleCommit for extended certificates: chain
+// handleCommitTab is handleCommit for chain-carrying certificates: chain
 // signatures verify against their chain digest (once, memoized, for all
 // the commits a chain covers) and count toward the quorum only if the
 // chain actually carries this instance's entry.
-func (s *Signed) handleCommitBatch(id instanceID, payload []byte, cert AckCert) {
+func (s *Signed) handleCommitTab(id instanceID, payload []byte, cert AckCert) {
 	if !s.beginCommit(id) {
 		return
 	}
@@ -765,177 +564,6 @@ func (s *Signed) handleCommitBatch(id instanceID, payload []byte, cert AckCert) 
 			s.commitVerified(id, d, payload, ok)
 		})
 	})
-}
-
-// handleCommitRef resolves a chain-referencing commit against the per-peer
-// chain cache and, when enough references resolve for a quorum, proceeds
-// exactly like a COMMITBATCH. When resolution leaves the quorum out of
-// reach — an evicted or never-seen chain — it NACKs the missing digests
-// back to the sender, which degrades to the self-contained legacy form for
-// this slot; the reference protocol can delay a delivery by one round
-// trip, never prevent it.
-func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []byte, sigs []refSig) {
-	cert := AckCert{Sigs: make([]AckSig, 0, len(sigs))}
-	var missing []types.Digest
-	var missingSet map[types.Digest]struct{}
-	for _, rs := range sigs {
-		if !rs.HasRef {
-			cert.Sigs = append(cert.Sigs, AckSig{Replica: rs.Replica, Sig: rs.Sig})
-			continue
-		}
-		chain, ok := s.knownChain(peer, rs.Ref)
-		if !ok {
-			s.refStats.RefMisses.Add(1)
-			// One quorum usually references one chain; name each digest
-			// once, and stop collecting at the NACK bound up front — the
-			// answer to ANY named digest re-supplies the commit, so a
-			// hostile reference list buys neither an overlong NACK nor a
-			// quadratic dedup scan.
-			if missingSet == nil {
-				missingSet = make(map[types.Digest]struct{}, 4)
-			}
-			if _, dup := missingSet[rs.Ref]; !dup && len(missing) < maxNackDigests {
-				missingSet[rs.Ref] = struct{}{}
-				missing = append(missing, rs.Ref)
-			}
-			continue
-		}
-		s.refStats.RefHits.Add(1)
-		// The carried index locates this instance's entry in O(1): a
-		// reference whose indexed entry names another instance cannot
-		// endorse this one, and is dropped before any verification work.
-		// The entry's digest is bound later, by verifyAckCert, against
-		// the payload hash computed off this dispatch goroutine.
-		if int(rs.Idx) >= len(chain) {
-			continue // reference cannot be valid; treat as no endorsement
-		}
-		if e := chain[rs.Idx]; e.Origin != id.origin || e.Slot != id.slot {
-			continue // indexed entry is for another instance
-		}
-		cert.Sigs = append(cert.Sigs, AckSig{Replica: rs.Replica, Sig: rs.Sig, Chain: chain, ChainDigest: rs.Ref})
-	}
-	if len(missing) > 0 && len(cert.Sigs) < s.cfg.quorum() {
-		// Not deliverable from what we have. Skip the NACK when the
-		// instance is already delivered or mid-verification — a duplicate
-		// needs no resend.
-		s.mu.Lock()
-		rec := s.acked[id]
-		_, busy := s.committing[id]
-		done := busy || (rec != nil && rec.delivered)
-		s.mu.Unlock()
-		if done {
-			return
-		}
-		if !s.cfg.EagerChainDefs {
-			// Lazy mode: park the reference on its LAST missing digest —
-			// a NACK is answered with definitions in certificate order, so
-			// by the time the last one lands and learnChain re-runs the
-			// parked reference, the earlier ones are already cached and the
-			// re-run resolves outright instead of re-parking per digest.
-			// Only the digest's first waiter NACKs; followers ride the same
-			// answer. A parked reference evicted by the bound falls back to
-			// the NACK round trip, so delivery never depends on buffer
-			// capacity.
-			parked, nack := s.parkRef(missing[len(missing)-1], pendingRef{id: id, peer: peer, payload: payload, sigs: sigs})
-			if parked && !nack {
-				return
-			}
-		}
-		w := wire.AcquireWriter(chainNackSize(missing))
-		appendChainNack(w, id.origin, id.slot, missing)
-		_ = s.cfg.Mux.Send(transport.ReplicaNode(peer), transport.ChanBRB, w.Bytes())
-		w.Release()
-		s.refStats.NacksSent.Add(1)
-		return
-	}
-	s.handleCommitBatch(id, payload, cert)
-}
-
-// handleChainNack runs at the origin: a destination could not resolve
-// chain references for one of our commits. In lazy-CHAINDEF mode this is
-// the demand path: answer with exactly the CHAINDEFs the receiver named,
-// followed by the COMMITREF again, on the same FIFO channel. When a named
-// digest is not one of this commit's chains (a stale NACK about an
-// earlier wave, or eager mode) degrade to the self-contained resend after
-// forgetting the digests were sent, so the next wave re-defines them.
-func (s *Signed) handleChainNack(id instanceID, peer types.ReplicaID, missing []types.Digest) {
-	if id.origin != s.cfg.Self {
-		return // we only resend our own commits
-	}
-	// Only group members receive commits, so only they can legitimately
-	// miss a chain; gating here keeps the resend amplification (a 37-byte
-	// NACK answered with definitions or a complete commit) and the
-	// sent-set churn reachable by group members alone.
-	if !s.membership(peer) {
-		return
-	}
-	s.refStats.NacksReceived.Add(1)
-	s.mu.Lock()
-	out := s.mine[id.slot]
-	if out == nil || !out.committed {
-		s.mu.Unlock()
-		s.forgetChainsSent(peer, missing)
-		return
-	}
-	payload, digest, cert := out.payload, out.digest, out.cert
-	s.mu.Unlock()
-	if !s.cfg.EagerChainDefs && s.answerNackWithDefs(id, peer, payload, digest, cert, missing) {
-		return
-	}
-	s.forgetChainsSent(peer, missing)
-	s.sendCommitFull(id, payload, cert, peer)
-}
-
-// answerNackWithDefs serves a lazy-mode demand: when every digest the
-// receiver named is one of this commit's certificate chains, send those
-// CHAINDEFs and then the COMMITREF again — FIFO ordering guarantees the
-// definitions land first, and learnChain on the receiver re-runs any
-// references parked meanwhile. Reports false when a named digest is not
-// servable from this certificate (the caller falls back to the
-// self-contained form, which answers everything).
-func (s *Signed) answerNackWithDefs(id instanceID, peer types.ReplicaID, payload []byte, digest types.Digest, cert AckCert, missing []types.Digest) bool {
-	sigs, defs, ok := s.buildRefSigs(id, digest, cert)
-	if !ok {
-		return false
-	}
-	for _, m := range missing {
-		found := false
-		for i := range defs {
-			if defs[i].digest == m {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	dest := transport.ReplicaNode(peer)
-	for i := range defs {
-		demanded := false
-		for _, m := range missing {
-			if defs[i].digest == m {
-				demanded = true
-				break
-			}
-		}
-		if !demanded {
-			continue // the receiver has this one; it named what it lacks
-		}
-		if defs[i].enc == nil {
-			defs[i].enc = EncodeChainDef(defs[i].chain)
-		}
-		_ = s.cfg.Mux.Send(dest, transport.ChanBRB, defs[i].enc)
-		s.refStats.DefsSent.Add(1)
-		s.refStats.DefsDemanded.Add(1)
-		s.markChainSent(peer, defs[i].digest)
-	}
-	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
-	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
-	_ = s.cfg.Mux.Send(dest, transport.ChanBRB, ref.Bytes())
-	ref.Release()
-	s.refStats.RefsSent.Add(1)
-	return true
 }
 
 // verifyAckCert checks that an extended certificate carries a quorum of
@@ -1119,13 +747,6 @@ func (s *Signed) membership(id types.ReplicaID) bool {
 // batching engaged (one ECDSA endorsing several instances).
 func (s *Signed) AckSignStats() (ops, acks uint64) {
 	return s.ackSigner.Stats()
-}
-
-// ChainRefStats returns the chain-reference protocol counters: CHAINDEFs
-// and COMMITREFs sent, cache hits and misses on inbound references, and
-// NACK fallback traffic.
-func (s *Signed) ChainRefStats() ChainRefStats {
-	return s.refStats.Snapshot()
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -86,14 +86,13 @@ type Config struct {
 	// commit path (BENCH_PR9). Off — the default — steady-state
 	// settlement spawns zero goroutines per commit or delivery.
 	CommitSpawn bool
-	// EagerChainDefs restores the PR 4 behavior of defining every chain
-	// ahead of its first reference, on both the BRB commit channel and
-	// the credit channel, as the measured baseline for lazy definitions
-	// (BENCH_PR9): by default a chain crosses the wire only when a
-	// receiver demands it, which skips the definitions receivers never
-	// need — their own chains, chains learned from other peers, and
-	// credit waves whose dependency certificates complete from the other
-	// signers first.
+	// EagerChainDefs defines every credit chain ahead of its first
+	// CREDITREF, as the measured baseline for lazy definitions: by
+	// default a credit chain crosses the
+	// wire only when a receiver demands it, which skips the definitions
+	// receivers never need — credit waves whose dependency certificates
+	// complete from the other signers first. It concerns the credit
+	// channel only: BRB commits are always self-contained.
 	EagerChainDefs bool
 
 	// Auth supplies MAC link authentication for Astro I's broadcast.

@@ -6,9 +6,11 @@ import (
 	"astro/internal/wire"
 )
 
-// Chain-by-digest references on the credit channel (PR 4; the payment-side
-// twin of brb's chainref.go — see the protocol prose there and on the
-// msgCredit* kinds). This file keeps the replica's reference state:
+// Chain-by-digest references on the credit channel (see the protocol prose
+// on the msgCredit* kinds): a CREDITREF names the wave's chain by
+// digest, a CREDITCHAINDEF carries it, and a receiver that cannot resolve
+// a reference NACKs for a self-contained resend. This file keeps the
+// replica's reference state:
 //
 //   - creditChains: receiver side — per sending replica, a bounded LRU of
 //     the chains that replica has defined, keyed by the locally recomputed
@@ -24,10 +26,10 @@ import (
 //     arrives is simply not retransmitted: the dependency still forms from
 //     the other >= f+1 signers, which is the fault model's job anyway.
 //
-// Unlike the BRB side, there is no per-destination sent-set: every wave
-// signs a brand-new chain (the digests of its freshly settled groups), so
-// a chain is never referenced across waves and its CHAINDEF is simply
-// sent ahead of each destination's first (and only) reference.
+// There is no per-destination sent-set: every wave signs a brand-new
+// chain (the digests of its freshly settled groups), so a chain is never
+// referenced across waves and its CHAINDEF is simply sent ahead of each
+// destination's first (and only) reference.
 //
 // Both structures hang off chainMu; the lock is never held across a
 // transport send or a signature operation.
@@ -40,8 +42,7 @@ const creditChainCacheEntries = 64
 // CreditRefStats counts the credit-channel reference traffic at one
 // replica, for tests and the benchmark harness: CREDITCHAINDEF/CREDITREF/
 // legacy CREDITBATCH sends (NACK retransmits count under FullSends),
-// inbound reference cache hits and misses, and NACK round trips. The
-// shape is shared with the BRB commit path's identical protocol
+// inbound reference cache hits and misses, and NACK round trips
 // (types.RefStats).
 type CreditRefStats = types.RefStats
 

@@ -15,7 +15,7 @@ import (
 )
 
 // TestSteadyStateSettleSpawnFree drives a warmed 4-replica cluster — real
-// ECDSA certificates, continuation commit coordinators, lazy CHAINDEF —
+// ECDSA certificates, continuation commit coordinators, lazy credit chains —
 // through a settlement round and asserts the pipeline spawned zero
 // goroutines for it. Everything runs on the fixed lane set: commits
 // verify via detached continuations, settlement fans across pinned
@@ -25,10 +25,10 @@ func TestSteadyStateSettleSpawnFree(t *testing.T) {
 	alice := c.client(1)
 	bob := c.client(2)
 
-	// Warm-up round: primes every replica's ack-chain and credit-chain
-	// caches, so the measured round is the steady state the guard is
-	// about (first contact may NACK; that is the lazy protocol working,
-	// not a regression — and it spawns nothing either way).
+	// Warm-up round: primes every replica's credit-chain caches, so the
+	// measured round is the steady state the guard is about (first
+	// contact may NACK; that is the lazy protocol working, not a
+	// regression — and it spawns nothing either way).
 	for i := 0; i < 4; i++ {
 		c.payAndWait(alice, 2, 1)
 		c.payAndWait(bob, 3, 1)

@@ -261,10 +261,9 @@ func NewReplica(cfg Config) (*Replica, error) {
 		// orders payments by client sequence number independently.
 		FirstSlot: r.nextBcastSlot,
 		Unordered: r.recovered,
-		// Pipeline baselines (BENCH_PR9): goroutine-per-commit
-		// coordinators and eager chain definitions, both off by default.
-		CommitSpawn:    cfg.CommitSpawn,
-		EagerChainDefs: cfg.EagerChainDefs,
+		// Pipeline baseline: goroutine-per-commit coordinators, off by
+		// default.
+		CommitSpawn: cfg.CommitSpawn,
 	}
 	var err error
 	switch cfg.Version {

@@ -313,10 +313,10 @@ func (b *AckAll) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte 
 // ---------------------------------------------------------------------
 
 // WithholdCommits signs acks like an honest replica but never emits a
-// commit certificate for its own broadcasts, in any of the three commit
-// wire forms. Its clients' payments collect acks and stall forever;
-// nobody else is harmed — the canonical "crash at the most annoying
-// step" Byzantine strategy.
+// commit certificate for its own broadcasts, in either commit wire form
+// (COMMIT or COMMITTAB). Its clients' payments collect acks and stall
+// forever; nobody else is harmed — the canonical "crash at the most
+// annoying step" Byzantine strategy.
 type WithholdCommits struct {
 	NopBehavior
 
@@ -338,12 +338,12 @@ func (b *WithholdCommits) Outbound(_ transport.NodeID, frame []byte, _ Emit) []b
 // ---------------------------------------------------------------------
 
 // ForgeChainRefs corrupts the chain-by-digest wire forms this replica
-// sends — CHAINDEF/COMMITREF on the broadcast channel and
-// CREDITCHAINDEF/CREDITREF on the credit channel — replacing digests and
-// indices with garbage. Honest receivers must shrug: a bogus definition
-// caches a chain no signature references, a bogus reference misses the
-// cache and triggers the NACK → self-contained fallback, and delivery
-// proceeds through the legacy form.
+// sends on the credit channel — CREDITCHAINDEF/CREDITREF — replacing
+// digests and indices with garbage. (Broadcast commits are
+// self-contained and reference no chains.) Honest receivers must shrug:
+// a bogus definition caches a chain no signature references, a bogus
+// reference misses the cache and triggers the NACK → self-contained
+// fallback, and delivery proceeds through the full form.
 type ForgeChainRefs struct {
 	NopBehavior
 	Salt byte
@@ -354,13 +354,7 @@ type ForgeChainRefs struct {
 func (b *ForgeChainRefs) Name() string { return "forge-chain-refs" }
 
 func (b *ForgeChainRefs) Outbound(_ transport.NodeID, frame []byte, _ Emit) []byte {
-	switch frameChan(frame) {
-	case transport.ChanBRB:
-		if mut, ok := brb.CorruptChainRefs(frame[1:], b.Salt); ok {
-			b.Corrupted.Add(1)
-			return reframe(transport.ChanBRB, mut)
-		}
-	case transport.ChanCredit:
+	if frameChan(frame) == transport.ChanCredit {
 		if mut, ok := core.CorruptCreditRefs(frame[1:], b.Salt); ok {
 			b.Corrupted.Add(1)
 			return reframe(transport.ChanCredit, mut)
@@ -373,9 +367,10 @@ func (b *ForgeChainRefs) Outbound(_ transport.NodeID, frame []byte, _ Emit) []by
 // NACK storm
 // ---------------------------------------------------------------------
 
-// NackStorm answers every chain-referencing commit or credit it receives
-// with a burst of NACKs naming the referenced digests, trying to drown
-// the sender in full-form resends. The hardened senders do bounded work
+// NackStorm answers every chain-referencing credit it receives with a
+// burst of CREDITNACKs naming the referenced digests, trying to drown the
+// sender in full-form resends. (Broadcast commits are self-contained, so
+// there is nothing there to NACK.) The hardened senders do bounded work
 // per NACK (one retained resend, nothing evicted for other peers), so
 // the storm costs bandwidth and nothing else.
 type NackStorm struct {
@@ -395,22 +390,14 @@ func (b *NackStorm) burst() int {
 }
 
 func (b *NackStorm) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte {
-	switch frameChan(frame) {
-	case transport.ChanBRB:
-		if nack, ok := brb.NackFor(frame[1:]); ok {
-			f := reframe(transport.ChanBRB, nack)
-			for i := 0; i < b.burst(); i++ {
-				emit(from, f)
-				b.Sent.Add(1)
-			}
-		}
-	case transport.ChanCredit:
-		if nack, ok := core.CreditNackFor(frame[1:]); ok {
-			f := reframe(transport.ChanCredit, nack)
-			for i := 0; i < b.burst(); i++ {
-				emit(from, f)
-				b.Sent.Add(1)
-			}
+	if frameChan(frame) != transport.ChanCredit {
+		return frame
+	}
+	if nack, ok := core.CreditNackFor(frame[1:]); ok {
+		f := reframe(transport.ChanCredit, nack)
+		for i := 0; i < b.burst(); i++ {
+			emit(from, f)
+			b.Sent.Add(1)
 		}
 	}
 	return frame

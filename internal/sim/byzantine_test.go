@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"astro/internal/brb"
 	"astro/internal/core"
+	"astro/internal/crypto"
 	"astro/internal/shard"
 	"astro/internal/transport"
 	"astro/internal/types"
@@ -118,6 +120,63 @@ func TestByzantineFaultMatrix(t *testing.T) {
 				t.Fatalf("unexpected behavior %T", beh)
 			}
 		})
+	}
+}
+
+// TestWithholdCommitsCoversChainedCertificates feeds the withholding
+// behaviors every commit wire form a replica emits. A certificate that
+// carries a chain signature goes out as a COMMITTAB, so a withholding
+// replica that let that kind through would still commit every batch
+// whose acks were chain-signed.
+func TestWithholdCommitsCoversChainedCertificates(t *testing.T) {
+	payload := []byte("batch")
+	chain := []brb.ChainEntry{{Origin: 0, Slot: 1, Digest: brb.SignedDigest(0, 1, payload)}}
+	cd := brb.AckChainDigest(chain)
+	var plain crypto.Certificate
+	var chained brb.AckCert
+	for r := types.ReplicaID(0); r < 3; r++ {
+		kp := crypto.MustGenerateKeyPair()
+		sig, err := kp.Sign(brb.SignedDigest(0, 1, payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain.Add(crypto.PartialSig{Replica: r, Sig: sig})
+		if sig, err = kp.Sign(cd); err != nil {
+			t.Fatal(err)
+		}
+		chained.Sigs = append(chained.Sigs, brb.AckSig{Replica: r, Sig: sig, Chain: chain, ChainDigest: cd})
+	}
+	forms := map[string][]byte{
+		"commit":    reframe(transport.ChanBRB, brb.EncodeCommit(0, 1, payload, plain)),
+		"committab": reframe(transport.ChanBRB, brb.EncodeCommitTab(0, 1, payload, chained)),
+	}
+	victim := transport.ReplicaNode(2)
+	noEmit := func(transport.NodeID, []byte) { t.Error("withholding behavior emitted a frame") }
+	if brb.FrameKind(forms["committab"][1:]) != brb.KindCommitTab {
+		t.Fatal("a chained certificate did not encode as a COMMITTAB")
+	}
+	for name, frame := range forms {
+		if !brb.IsCommitKind(brb.FrameKind(frame[1:])) {
+			t.Errorf("%s: not classified as a commit kind", name)
+		}
+		w := &WithholdCommits{}
+		if out := w.Outbound(victim, frame, noEmit); out != nil {
+			t.Errorf("%s: WithholdCommits let the commit through", name)
+		}
+		if w.Suppressed.Load() != 1 {
+			t.Errorf("%s: suppressed %d frames, want 1", name, w.Suppressed.Load())
+		}
+		eq := &Equivocate{
+			Self:                0,
+			Victims:             map[transport.NodeID]bool{victim: true},
+			WithholdFromVictims: true,
+		}
+		if out := eq.Outbound(victim, frame, noEmit); out != nil {
+			t.Errorf("%s: Equivocate let the commit through to a victim", name)
+		}
+		if out := eq.Outbound(transport.ReplicaNode(1), frame, noEmit); out == nil {
+			t.Errorf("%s: Equivocate withheld the commit from a non-victim", name)
+		}
 	}
 }
 

@@ -279,8 +279,8 @@ const (
 
 	FaultEquivocate      FaultKind = "equivocate"       // conflicting slot contents to different peers
 	FaultWithholdCommits FaultKind = "withhold-commits" // sign acks, never emit commits
-	FaultForgeRefs       FaultKind = "forge-refs"       // garbage CHAINDEF/COMMITREF/CREDITREF digests
-	FaultNackStorm       FaultKind = "nack-storm"       // CHAINNACK/CREDITNACK spam
+	FaultForgeRefs       FaultKind = "forge-refs"       // garbage CREDITCHAINDEF/CREDITREF digests
+	FaultNackStorm       FaultKind = "nack-storm"       // CREDITNACK spam
 	FaultStaleView       FaultKind = "stale-view"       // stale/forged reconfiguration messages
 )
 

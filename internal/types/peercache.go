@@ -1,11 +1,10 @@
 package types
 
-// PeerCache is the two-level bounded cache of the chain-reference protocol
-// (PR 4), shared by the BRB commit path and the credit channel: per peer,
-// an LRU of values keyed by content digest. Per-peer bounding is the
-// abuse containment — one peer's definitions can never evict another's —
-// and the peer map itself is bounded by whatever membership gate admits
-// senders (BRB group membership, the key registry).
+// PeerCache is the two-level bounded cache of the credit channel's
+// chain-reference protocol: per peer, an LRU of values keyed by content
+// digest. Per-peer bounding is the abuse containment — one peer's
+// definitions can never evict another's — and the peer map itself is
+// bounded by the membership gate that admits senders (the key registry).
 //
 // A PeerCache is NOT synchronized; the owning protocol state guards it
 // with the lock that already covers its reference bookkeeping.
@@ -64,8 +63,9 @@ func (c *PeerCache[V]) Get(peer ReplicaID, d Digest) (V, bool) {
 // hit. Sound only for content-addressed caches — the chain-reference
 // protocol recomputes each digest from the learned content, so a chain
 // cached under ANY peer is the chain, whoever references it. Cost is one
-// LRU probe per known peer (membership-bounded); the lazy-CHAINDEF mode
-// uses it so a chain defined once resolves references from every origin.
+// LRU probe per known peer (membership-bounded); the lazy credit-chain
+// definitions use it so a chain defined once resolves references from
+// every peer.
 func (c *PeerCache[V]) GetAny(d Digest) (V, bool) {
 	for _, l := range c.m {
 		if v, ok := l.Get(d); ok {
@@ -74,24 +74,6 @@ func (c *PeerCache[V]) GetAny(d Digest) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Contains reports whether (peer, d) is cached, touching it on a hit —
-// the sender-side probe that keeps sent-sets aging in lockstep with the
-// receiver's cache. An unknown peer allocates nothing.
-func (c *PeerCache[V]) Contains(peer ReplicaID, d Digest) bool {
-	l, ok := c.m[peer]
-	if !ok {
-		return false
-	}
-	return l.Contains(d)
-}
-
-// Delete drops (peer, d), if cached.
-func (c *PeerCache[V]) Delete(peer ReplicaID, d Digest) {
-	if l, ok := c.m[peer]; ok {
-		l.Delete(d)
-	}
 }
 
 // HasPeer reports whether a per-peer LRU exists for peer (for tests

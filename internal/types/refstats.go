@@ -2,10 +2,9 @@ package types
 
 import "sync/atomic"
 
-// RefStats counts one side's chain-reference traffic (PR 4): both the BRB
-// commit path and the credit channel run the same CHAINDEF / reference /
-// NACK protocol, so they share one counter shape (brb.ChainRefStats and
-// core.CreditRefStats alias it, and the sim harness aggregates either).
+// RefStats counts one replica's credit-channel chain-reference traffic:
+// CHAINDEF / reference / NACK counters (core.CreditRefStats aliases it,
+// and the sim harness aggregates it cluster-wide).
 type RefStats struct {
 	// DefsSent / RefsSent / FullSends count outbound chain definitions,
 	// reference-form sends, and self-contained legacy sends (including

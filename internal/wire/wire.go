@@ -123,7 +123,7 @@ func DigestListSize(n int) int { return 4 + 32*n }
 // AppendDigestList appends a uint32 count followed by the 32-byte digests.
 // It is generic over the digest type so protocol packages can pass their
 // own named [32]byte types (types.Digest) without copying. The digest-chain
-// wire forms of the chain-reference protocol (CHAINDEF, extended
+// wire forms of the credit channel (chain definitions, NACKs, dependency
 // certificates) all share this layout.
 func AppendDigestList[D ~[32]byte](w *Writer, ds []D) {
 	w.U32(uint32(len(ds)))

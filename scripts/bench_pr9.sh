@@ -3,21 +3,21 @@
 # PR 9 goroutine-free, allocation-lean message pipeline.
 #
 # "Before" numbers are measured from the same tree: the goroutine-per-
-# commit coordinator survives behind Config.CommitSpawn, eager chain
-# definitions behind Config.EagerChainDefs, the legacy COMMITBATCH and v1
-# batch encodings as the fallback/baseline encoders — so every comparison
-# runs both sides on this host.
+# commit coordinator survives behind Config.CommitSpawn and the v1 batch
+# encoding as the baseline encoder — so every comparison runs both sides
+# on this host.
 #
 # Measured:
 #   - commit latency: continuation-style coordinators (detached verifier
 #     continuations, zero goroutines per commit) vs spawn-per-commit;
-#   - chain-definition bytes/payment: lazy CHAINDEF (steady state sends
-#     none; NACK worst case pays the demand round trip) vs eager;
-#   - fallback resend bytes/payment: tabled COMMITTAB vs legacy
-#     COMMITBATCH with inline chains;
+#   - chained commit bytes/payment: tabled COMMITTAB;
 #   - payment-batch bytes/payment: batch-wide chain table (v2) vs
 #     per-certificate chains (v1);
 #   - end-to-end regression guard: full ECDSA settlement path.
+#
+# The BRB commit reference rows (lazy vs eager CHAINDEF, legacy
+# COMMITBATCH) are retired with those wire forms; the archived output
+# keeps them as history.
 #
 # Usage: scripts/bench_pr9.sh [output.json]   (default BENCH_PR9.json)
 
@@ -34,12 +34,12 @@ run() {
 # Commit coordinators: continuation vs goroutine-per-commit, same ECDSA
 # N=4 pipeline.
 run 'BenchmarkCommitContinuationECDSA|BenchmarkCommitSpawnECDSA' 200x ./internal/brb/
-# Chain-definition economics and the tabled fallback resend.
-run 'BenchmarkChainDefWireBytes|BenchmarkCommitTabWireBytes' 10x ./internal/brb/
+# Tabled commit bytes.
+run 'BenchmarkCommitTabWireBytes' 10x ./internal/brb/
 # Batch-level chain interning on the payment wire.
 run 'BenchmarkBatchChainWireBytes' 10x ./internal/core/
-# End-to-end regression guard (lazy defs + continuations are the
-# defaults, so this measures the PR 9 pipeline).
+# End-to-end regression guard (continuations are the default, so this
+# measures the continuation pipeline).
 run 'BenchmarkSettleBatchECDSA' 500x ./internal/core/
 
 CORES=$(nproc 2>/dev/null || echo 1)
@@ -52,7 +52,6 @@ awk -v cores="$CORES" -v cpu="$CPU" '
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") ns[name] = $(i-1)
 		if ($i == "bytes/payment") bpp[name] = $(i-1)
-		if ($i == "defbytes/payment") dbp[name] = $(i-1)
 	}
 }
 END {
@@ -60,28 +59,21 @@ END {
 	printf "  \"host\": {\n"
 	printf "    \"cpu\": \"%s\",\n", cpu
 	printf "    \"cores\": %s,\n", cores
-	printf "    \"note\": \"Byte counts encode the exact messages each mode sends (chain cap 32, quorum 3, per destination) and are host-independent; ns/op numbers are 1-core CI samples — on a 1-core host continuation vs spawn is parity-or-better, the win is the removed per-commit goroutine (see the sched.Spawns guard in internal/core/pipeline_guard_test.go). lazy-warm is the steady state: sign-time self-priming plus ACKBATCH learning mean symmetric traffic defines no chains at all; lazy-nack is the cold/evicted worst case including the demand round trip.\"\n"
+	printf "    \"note\": \"Byte counts encode the exact messages each mode sends (chain cap 32, quorum 3, per destination) and are host-independent; ns/op numbers are 1-core CI samples — on a 1-core host continuation vs spawn is parity-or-better, the win is the removed per-commit goroutine (see the sched.Spawns guard in internal/core/pipeline_guard_test.go).\"\n"
 	printf "  },\n"
 	printf "  \"before\": {\n"
 	printf "    \"CommitSpawnECDSA_ns_op\": %s,\n", ns["BenchmarkCommitSpawnECDSA"]
-	printf "    \"ChainDef_bytes_per_payment_eager\": %s,\n", bpp["BenchmarkChainDefWireBytes/eager"]
-	printf "    \"ChainDef_defbytes_per_payment_eager\": %s,\n", dbp["BenchmarkChainDefWireBytes/eager"]
-	printf "    \"Fallback_resend_bytes_per_payment_commitbatch\": %s,\n", bpp["BenchmarkCommitTabWireBytes/legacy-batch"]
 	printf "    \"Batch_bytes_per_payment_v1\": %s\n", bpp["BenchmarkBatchChainWireBytes/per-cert-v1"]
 	printf "  },\n"
 	printf "  \"after\": {\n"
 	printf "    \"CommitContinuationECDSA_ns_op\": %s,\n", ns["BenchmarkCommitContinuationECDSA"]
-	printf "    \"ChainDef_bytes_per_payment_lazy_warm\": %s,\n", bpp["BenchmarkChainDefWireBytes/lazy-warm"]
-	printf "    \"ChainDef_defbytes_per_payment_lazy_warm\": %s,\n", dbp["BenchmarkChainDefWireBytes/lazy-warm"]
-	printf "    \"ChainDef_bytes_per_payment_lazy_nack\": %s,\n", bpp["BenchmarkChainDefWireBytes/lazy-nack"]
-	printf "    \"Fallback_resend_bytes_per_payment_committab\": %s,\n", bpp["BenchmarkCommitTabWireBytes/tabled"]
+	printf "    \"Commit_bytes_per_payment_committab\": %s,\n", bpp["BenchmarkCommitTabWireBytes/tabled"]
 	printf "    \"Batch_bytes_per_payment_v2\": %s,\n", bpp["BenchmarkBatchChainWireBytes/batch-table-v2"]
 	printf "    \"SettleBatchECDSA_ns_per_payment\": %s\n", ns["BenchmarkSettleBatchECDSA"]
 	printf "  },\n"
 	printf "  \"summary\": [\n"
 	printf "    \"Continuation-style commit coordinators replace the goroutine-per-commit baseline: commit verification runs as detached continuations on the verifier lanes (TryAsync submission can never wedge a full queue against itself), commitVerified only takes the protocol lock and drains deliveries, and the sched.Spawns guard asserts steady-state settlement spawns zero goroutines.\",\n"
-	printf "    \"Lazy CHAINDEF inverts the definition protocol: definitions go out only on demand (NACK), and three no-NACK legs make the symmetric steady state define-free — sign-time self-priming, ACKBATCH chain learning, and content-addressed any-peer cache probes. Receivers park references keyed by the missing chain digest (bounded buffer; overflow degrades to NACK, so liveness never depends on it).\",\n"
-	printf "    \"The tabled COMMITTAB fallback resend and the v2 payment-batch form intern chains at message/batch level: each distinct chain is encoded once per message instead of once per certificate, with all older wire forms still decodable and selectable as baselines from the same tree.\"\n"
+	printf "    \"The tabled COMMITTAB (every chained commit certificate) and the v2 payment-batch form intern chains at message/batch level: each distinct chain is encoded once per message instead of once per certificate.\"\n"
 	printf "  ]\n"
 	printf "}\n"
 }' "$TMP" > "$OUT"
